@@ -1,18 +1,18 @@
-"""Benchmark the multi-lane sweep engine against the solo figure path.
+"""Benchmark the multi-lane sweep engine against the reference core.
 
 Evaluates the full figure-suite design-point lattice twice, both times
 from a completely cold in-memory cache (no persistent artifacts):
 
-* ``solo``   — every timing point through ``simulate`` (one
-  ``InOrderCore`` run per point, one functional execution per compiler
-  config), the way the figure drivers worked before the engine;
+* ``solo``   — every timing point through the readable reference model,
+  one ``InOrderCore`` run per point over the trace of one functional
+  execution per compiler config;
 * ``engine`` — the whole suite through ``figure_suite`` /
   ``run_sweep``: digest-level dedup of compiled programs, one shared
   decode pass per committed stream, K flat timing lanes per batch.
 
 After both runs every design point is compared stat-for-stat (full
-dataclass equality) between the two caches — the engine must be
-byte-identical to the solo reference, not just faster. Results land in
+dataclass equality) between the two — the engine must be
+byte-identical to the reference, not just faster. Results land in
 ``benchmarks/BENCH_sweep.json``.
 
 Usage::
@@ -37,6 +37,7 @@ OUT_PATH = HERE / "BENCH_sweep.json"
 os.environ.setdefault("REPRO_CACHE_DIR", "off")
 sys.path.insert(0, str(HERE.parent / "src"))
 
+from repro.arch import CoreConfig, InOrderCore  # noqa: E402
 from repro.compiler.config import turnpike_config  # noqa: E402
 from repro.harness.experiments import (  # noqa: E402
     figure_suite,
@@ -47,18 +48,22 @@ from repro.harness.runner import RunCache, simulate  # noqa: E402
 from repro.workloads.suites import all_profiles, quick_subset  # noqa: E402
 
 
-def run_solo(uids: list[str], pairs: list) -> tuple[RunCache, float]:
-    """Cold reference: every point via simulate, every summary solo."""
+def run_solo(uids: list[str], pairs: list) -> tuple[dict, float]:
+    """Cold reference: every point on InOrderCore, every summary solo."""
     cache = RunCache(persistent=None)
+    stats = {}
     start = time.perf_counter()
     for uid in uids:
         for compiler, hardware in pairs:
-            simulate(uid, compiler, hardware, cache=cache)
+            trace = cache.prepared(uid, compiler).trace
+            stats[uid, compiler, hardware] = InOrderCore(
+                CoreConfig(), hardware
+            ).run(trace)
         for config in suite_summary_configs():
             cache.prepared(uid, config).summary
         cache.prepared(uid, turnpike_config()).compiled  # fig26 sizes
         cache.baseline(uid).compiled
-    return cache, time.perf_counter() - start
+    return stats, time.perf_counter() - start
 
 
 def run_engine(
@@ -97,7 +102,7 @@ def main(argv=None) -> int:
         f"configs each)"
     )
 
-    solo_cache, t_solo = run_solo(uids, pairs)
+    solo_stats, t_solo = run_solo(uids, pairs)
     print(f"solo  : {t_solo:7.1f}s  {points / t_solo:6.1f} points/s")
     engine_cache, t_engine = run_engine(uids, args.workers)
     print(f"engine: {t_engine:7.1f}s  {points / t_engine:6.1f} points/s")
@@ -105,7 +110,7 @@ def main(argv=None) -> int:
     mismatches = 0
     for uid in uids:
         for compiler, hardware in pairs:
-            a = simulate(uid, compiler, hardware, cache=solo_cache)
+            a = solo_stats[uid, compiler, hardware]
             b = simulate(uid, compiler, hardware, cache=engine_cache)
             if a != b:
                 mismatches += 1

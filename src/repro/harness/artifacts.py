@@ -7,7 +7,7 @@ code*. This module keys every artifact by a digest of the whole
 so a warm cache can never serve results produced by different simulator
 semantics: touching any ``src/repro`` file invalidates everything.
 
-Three artifact kinds are stored:
+Four artifact kinds are stored:
 
 * ``trace-<key>.pkl`` — the dynamic trace of one (uid, compiler-config)
   pair, as pickled tuples. Branch-id fields inside a trace come from the
@@ -27,11 +27,10 @@ Three artifact kinds are stored:
   :class:`~repro.verify.vuln.VulnerabilityMap` (bit-level
   masked/vulnerable classification) for one (uid, scheme, sb-size,
   wcdl, variants, max-steps) combination.
-* ``codegen-<key>.py`` — a generated superblock module (see
-  :mod:`repro.runtime.codegen`) for one (uid, compiler-config) pair,
-  stored as source text with a self-describing header that pins the
-  program's structural digest and a canonical source digest
-  (``repro cache verify`` recompiles one and compares digests).
+
+Files named ``codegen-*.py`` were written by a functional backend that
+no longer exists. Nothing reads or counts them; :meth:`ArtifactCache.clear`
+(and so ``repro cache clear|prune``) still deletes them.
 
 Writes are atomic (temp file + ``os.replace``), so any number of
 processes — the multiprocess shards of :mod:`repro.harness.runner`
@@ -59,6 +58,8 @@ from repro.arch.stats import SimStats
 from repro.compiler.config import CompilerConfig
 
 _FORMAT_VERSION = 1
+_KINDS = ("trace-", "stats-", "golden-", "vuln-")
+_LEGACY_KINDS = ("codegen-",)  # see the module docstring
 _code_digest: str | None = None
 
 
@@ -175,17 +176,6 @@ class ArtifactCache:
         return _key("golden", uid, config, interval, max_steps)
 
     @staticmethod
-    def codegen_key(uid: str, compiler: CompilerConfig) -> str:
-        """Key for a generated codegen module.
-
-        Same identity as a trace — (uid, compiler-config) plus the
-        source digest baked into :func:`_key` — because the module is a
-        pure function of the compiled program and its (deterministic)
-        warmup profile.
-        """
-        return _key("codegen", uid, compiler)
-
-    @staticmethod
     def vuln_key(
         uid: str,
         scheme: str,
@@ -289,32 +279,13 @@ class ArtifactCache:
         text = json.dumps(data, sort_keys=True)
         self._write_atomic(self.root / f"vuln-{key}.json", text.encode())
 
-    def load_codegen(self, key: str) -> str | None:
-        """Load a generated module's source text, or None on any miss.
-
-        Header/digest validation is the caller's job
-        (:func:`repro.runtime.codegen.parse_header`); this layer only
-        deals in bytes.
-        """
-        path = self.root / f"codegen-{key}.py"
-        try:
-            return path.read_text()
-        except (OSError, UnicodeDecodeError):
-            return None
-
-    def store_codegen(self, key: str, source: str) -> None:
-        self._write_atomic(self.root / f"codegen-{key}.py", source.encode())
-
     # -- maintenance -------------------------------------------------------
 
+    def _paths(self, prefixes: tuple[str, ...]) -> list[Path]:
+        return sorted(p for p in self.root.iterdir() if p.name.startswith(prefixes))
+
     def artifact_paths(self) -> list[Path]:
-        return sorted(
-            p
-            for p in self.root.iterdir()
-            if p.name.startswith(
-                ("trace-", "stats-", "golden-", "vuln-", "codegen-")
-            )
-        )
+        return self._paths(_KINDS)
 
     def entries(self) -> list[tuple[str, str, int]]:
         """Every artifact as ``(kind, key, bytes)``, sorted by (kind, key).
@@ -336,9 +307,10 @@ class ArtifactCache:
         return out
 
     def clear(self) -> int:
-        """Delete every artifact (any generation); returns the count."""
+        """Delete every artifact (any generation, legacy kinds included);
+        returns the count."""
         removed = 0
-        for path in self.artifact_paths():
+        for path in self._paths(_KINDS + _LEGACY_KINDS):
             try:
                 path.unlink()
                 removed += 1
@@ -377,10 +349,10 @@ class ArtifactCache:
     def info(self) -> dict[str, object]:
         """Summary dict for ``repro cache info``."""
         paths = self.artifact_paths()
-        traces = sum(1 for p in paths if p.name.startswith("trace-"))
-        goldens = sum(1 for p in paths if p.name.startswith("golden-"))
-        vulns = sum(1 for p in paths if p.name.startswith("vuln-"))
-        codegens = sum(1 for p in paths if p.name.startswith("codegen-"))
+
+        def count(prefix: str) -> int:
+            return sum(1 for p in paths if p.name.startswith(prefix))
+
         bytes_by_kind: dict[str, int] = {}
         total = 0
         for path in paths:
@@ -394,11 +366,10 @@ class ArtifactCache:
         return {
             "root": str(self.root),
             "artifacts": len(paths),
-            "traces": traces,
-            "stats": len(paths) - traces - goldens - vulns - codegens,
-            "goldens": goldens,
-            "vulns": vulns,
-            "codegens": codegens,
+            "traces": count("trace-"),
+            "stats": count("stats-"),
+            "goldens": count("golden-"),
+            "vulns": count("vuln-"),
             "bytes": total,
             "bytes_by_kind": dict(sorted(bytes_by_kind.items())),
             "code_digest": code_digest()[:16],

@@ -27,6 +27,12 @@ Functional execution uses the fast backend
 The two are bit-identical (enforced by the differential parity suite in
 ``tests/test_fastsim_parity.py``), so the choice is invisible to every
 figure.
+
+Timing runs through the multi-lane kernel
+(:func:`repro.runtime.multisim.run_lanes`) — a solo point is simply one
+lane. The object-model core of :mod:`repro.arch.core` stays as the
+readable reference the kernel is held byte-identical to
+(``tests/test_multisim_parity.py``).
 """
 
 from __future__ import annotations
@@ -37,49 +43,33 @@ import threading
 from dataclasses import replace
 
 from repro.arch.config import CoreConfig, ResilienceHardwareConfig
-from repro.arch.core import InOrderCore
 from repro.arch.stats import SimStats
 from repro.compiler.config import CompilerConfig, turnpike_config, turnstile_config
 from repro.compiler.pipeline import CompiledProgram, compile_baseline, compile_program
 from repro.harness.artifacts import ArtifactCache
+from repro.isa.program import program_digest
 from repro.runtime.fastsim import execute_fast
 from repro.runtime.interpreter import execute
+from repro.runtime.multisim import run_lanes
 from repro.runtime.trace import TraceSummary
 from repro.workloads.generator import Workload, build_workload
 from repro.workloads.suites import all_profiles, profile as lookup_profile
 
 
 def functional_backend() -> str:
-    """``"fast"`` (default), ``"codegen"`` or ``"reference"``.
-
-    From REPRO_SIM_BACKEND. ``codegen`` runs the gen-2 superblock
-    backend (:mod:`repro.runtime.codegen`); all three are bit-identical.
-    """
+    """``"fast"`` (default) or ``"reference"``, from REPRO_SIM_BACKEND."""
     backend = os.environ.get("REPRO_SIM_BACKEND", "fast").strip().lower()
-    if backend not in ("fast", "reference", "codegen"):
+    if backend not in ("fast", "reference"):
         raise ValueError(
-            f"REPRO_SIM_BACKEND={backend!r}: "
-            "expected 'fast', 'codegen' or 'reference'"
+            f"REPRO_SIM_BACKEND={backend!r}: expected 'fast' or 'reference'"
         )
     return backend
 
 
-def _run_functional(program, memory, uid=None, config=None):
-    """Functional execution via the selected backend.
-
-    ``uid``/``config`` (known for harness benchmarks, None for ad-hoc
-    programs) let the codegen backend address its generated module in
-    the persistent artifact cache.
-    """
-    backend = functional_backend()
-    if backend == "reference":
+def _run_functional(program, memory):
+    """Functional execution via the selected backend."""
+    if functional_backend() == "reference":
         return execute(program, memory, collect_trace=True)
-    if backend == "codegen":
-        from repro.runtime.codegen import execute_codegen
-
-        return execute_codegen(
-            program, memory, collect_trace=True, uid=uid, config=config
-        )
     return execute_fast(program, memory, collect_trace=True)
 
 
@@ -202,9 +192,7 @@ class RunCache:
                     return run
             workload = self.workload(uid)
             compiled = self.compiled_program(uid, config)
-            result = _run_functional(
-                compiled.program, workload.fresh_memory(), uid=uid, config=config
-            )
+            result = _run_functional(compiled.program, workload.fresh_memory())
             assert result.trace is not None
             run = PreparedRun(
                 uid, config, result.trace, workload=workload, compiled=compiled
@@ -242,8 +230,6 @@ class RunCache:
         therefore produce the same committed stream — the sweep planner
         uses this to share one functional execution across them.
         """
-        from repro.runtime.codegen import program_digest
-
         key = (uid, config)
         with self._lock:
             digest = self._digests.get(key)
@@ -269,6 +255,18 @@ class RunCache:
                 self._digest_runs[key] = run
             return run
 
+    def _memo_stats(
+        self,
+        key: tuple[str, CompilerConfig, ResilienceHardwareConfig, CoreConfig],
+    ) -> SimStats | None:
+        """In-memory, then on-disk stats for ``key`` (caller holds the lock)."""
+        stats = self._stats.get(key)
+        if stats is None and self.persistent is not None:
+            stats = self.persistent.load_stats(self.persistent.stats_key(*key))
+            if stats is not None:
+                self._stats[key] = stats
+        return stats
+
     def peek_stats(
         self,
         uid: str,
@@ -277,19 +275,9 @@ class RunCache:
         core: CoreConfig | None = None,
     ) -> SimStats | None:
         """Memoised/persisted stats if present — never computes."""
-        core = core or CoreConfig()
-        key = (uid, compiler, hardware, core)
         with self._lock:
-            stats = self._stats.get(key)
-            if stats is None and self.persistent is not None:
-                stats = self.persistent.load_stats(
-                    self.persistent.stats_key(uid, compiler, hardware, core)
-                )
-                if stats is not None:
-                    self._stats[key] = stats
-            if stats is None:
-                return None
-            return replace(stats, cache=dict(stats.cache))
+            stats = self._memo_stats((uid, compiler, hardware, core or CoreConfig()))
+            return None if stats is None else replace(stats, cache=dict(stats.cache))
 
     def put_stats(
         self,
@@ -301,15 +289,11 @@ class RunCache:
     ) -> None:
         """Insert externally-computed stats (the sweep engine's lanes)
         into both memoisation layers, so later solo lookups hit."""
-        core = core or CoreConfig()
-        key = (uid, compiler, hardware, core)
+        key = (uid, compiler, hardware, core or CoreConfig())
         with self._lock:
             self._stats[key] = stats
             if self.persistent is not None:
-                self.persistent.store_stats(
-                    self.persistent.stats_key(uid, compiler, hardware, core),
-                    stats,
-                )
+                self.persistent.store_stats(self.persistent.stats_key(*key), stats)
 
     def stats(
         self,
@@ -320,24 +304,12 @@ class RunCache:
     ) -> SimStats:
         """Timing stats for one combination, memoised at every layer."""
         core = core or CoreConfig()
-        key = (uid, compiler, hardware, core)
         with self._lock:
-            stats = self._stats.get(key)
-            if stats is None and self.persistent is not None:
-                stats = self.persistent.load_stats(
-                    self.persistent.stats_key(uid, compiler, hardware, core)
-                )
-                if stats is not None:
-                    self._stats[key] = stats
+            stats = self._memo_stats((uid, compiler, hardware, core))
             if stats is None:
-                run = self.prepared(uid, compiler)
-                stats = InOrderCore(core, hardware).run(run.trace)
-                self._stats[key] = stats
-                if self.persistent is not None:
-                    self.persistent.store_stats(
-                        self.persistent.stats_key(uid, compiler, hardware, core),
-                        stats,
-                    )
+                trace = self.prepared(uid, compiler).trace
+                stats = run_lanes(trace, [(core, hardware)])[0]
+                self.put_stats(uid, compiler, hardware, core, stats)
             # Defensive copy: cached stats must survive caller mutation.
             return replace(stats, cache=dict(stats.cache))
 
@@ -439,18 +411,7 @@ def run_report_text(
     from repro.compiler.config import turnpike_config, turnstile_config
     from repro.workloads.suites import load_workload
 
-    if backend == "codegen":
-        from repro.runtime.codegen import execute_codegen
-
-        def run_functional(program, memory, collect_trace=True, *, _config=None):
-            return execute_codegen(
-                program, memory, collect_trace=collect_trace,
-                uid=uid, config=_config,
-            )
-    elif backend == "fast":
-        run_functional = execute_fast
-    else:
-        run_functional = execute
+    run_functional = execute_fast if backend == "fast" else execute
     workload = load_workload(uid)
     if scheme == "baseline":
         compiled = compile_baseline(workload.program)
@@ -462,20 +423,18 @@ def run_report_text(
         compiled = compile_program(workload.program, turnpike_config(sb_size=sb_size))
         hw = ResilienceHardwareConfig.turnpike(wcdl=wcdl, sb_size=sb_size)
 
-    kwargs = {"_config": compiled.config} if backend == "codegen" else {}
     result = run_functional(
-        compiled.program, workload.fresh_memory(), collect_trace=True, **kwargs
+        compiled.program, workload.fresh_memory(), collect_trace=True
     )
-    stats = InOrderCore(CoreConfig(), hw).run(result.trace)
+    stats = run_lanes(result.trace, [(CoreConfig(), hw)])[0]
 
     base = compile_baseline(workload.program)
-    kwargs = {"_config": base.config} if backend == "codegen" else {}
     base_run = run_functional(
-        base.program, workload.fresh_memory(), collect_trace=True, **kwargs
+        base.program, workload.fresh_memory(), collect_trace=True
     )
-    base_stats = InOrderCore(
-        CoreConfig(), ResilienceHardwareConfig.baseline()
-    ).run(base_run.trace)
+    base_stats = run_lanes(
+        base_run.trace, [(CoreConfig(), ResilienceHardwareConfig.baseline())]
+    )[0]
 
     lines = [
         f"benchmark:        {uid}",

@@ -19,7 +19,8 @@ The engine exploits both:
    program form a batch; :func:`repro.runtime.multisim.run_lanes`
    executes the batch with one shared decode pass (fetch/decode/
    functional work once) and K independent timing lanes, each
-   byte-identical to a solo :func:`~repro.harness.runner.simulate`.
+   byte-identical to a solo run of the reference core in
+   :mod:`repro.arch.core`.
 3. **Multiprocess dispatch**: with ``workers > 1`` (or
    ``REPRO_WORKERS``) lane batches fan out across a process pool, the
    same sharding plumbing as ``simulate_many``.
@@ -52,7 +53,7 @@ from repro.harness.runner import (
     RunCache,
     resolve_workers,
 )
-from repro.runtime.multisim import Feed, FeedMeta, run_lanes
+from repro.runtime.multisim import run_lanes
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ def run_sweep(
     """Evaluate a design-point lattice through the multi-lane engine.
 
     Returns stats for every input point (defensive copies). Every lane
-    is byte-identical to a solo ``simulate`` of the same point —
+    is byte-identical to a reference-core run of the same point —
     enforced by ``tests/test_multisim_parity.py``.
     """
     cache = cache or GLOBAL_CACHE
@@ -251,16 +252,11 @@ def run_sweep(
         for batch, lane_stats in zip(pending, results, strict=True):
             _commit(cache, batch, lane_stats, computed)
     else:
-        feeds: dict[
-            tuple[CoreConfig, bool], tuple[Feed, dict[str, int], FeedMeta]
-        ]
         for batch in pending:
             run = cache.prepared_by_digest(
                 batch.uid, batch.compiler, batch.digest
             )
-            feeds = {}
-            lane_stats = run_lanes(run.trace, batch.lanes, feeds)
-            _commit(cache, batch, lane_stats, computed)
+            _commit(cache, batch, run_lanes(run.trace, batch.lanes), computed)
     return {
         point: replace(computed[key], cache=dict(computed[key].cache))
         for point, key in plan.keys.items()

@@ -8,6 +8,7 @@ pass (tests lean on this heavily).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, Optional
 
 from repro.isa.instructions import Instruction, Opcode
@@ -228,3 +229,30 @@ class Program:
             f"Program({self.name!r}, blocks={len(self.blocks)}, "
             f"instrs={self.num_instructions})"
         )
+
+
+def program_digest(program: Program) -> str:
+    """Uid-free structural digest of a program (process-invariant).
+
+    Two programs with the same digest execute identically, so the
+    sweep planner keys shared functional runs and design points by it.
+    Registers are numbered as trace fields number them (virtual
+    registers offset by 1024).
+    """
+
+    def slot(reg: Reg) -> int:
+        return reg.index + 1024 if reg.is_virtual else reg.index
+
+    hasher = hashlib.sha256()
+    hasher.update(program.name.encode())
+    for block in program.blocks:
+        hasher.update(f"\n@{block.label}".encode())
+        for instr in block.instructions:
+            dest = -1 if instr.dest is None else slot(instr.dest)
+            srcs = tuple(slot(r) for r in instr.srcs)
+            kind = "" if instr.store_kind is None else instr.store_kind.name
+            hasher.update(
+                f"\n{instr.op.name}|{dest}|{srcs}|{instr.imm}"
+                f"|{instr.targets}|{instr.region_id}|{kind}".encode()
+            )
+    return hasher.hexdigest()[:16]

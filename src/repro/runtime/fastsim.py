@@ -9,21 +9,14 @@ bits are all folded into the generated source at compile time. Executing
 the program then replays those closed-over step functions — one call per
 dynamic basic block instead of one dispatch per dynamic instruction.
 
-Generation 2 replaces the "return the next block index" convention with
-an **exit table**: every step function returns a program-global *exit
-id* ``e`` naming the static CFG edge it left through, and the driver
-advances with three flat-table lookups::
+Every step function returns a program-global *exit id* ``e`` naming
+the static CFG edge it left through, and the driver advances with three
+flat-table lookups::
 
     e = funcs[idx](R, M, T)
     steps += ESTEPS[e]        # instructions retired on that path
-    counts[e] += 1            # free per-edge execution profile
+    counts[e] += 1            # which exits ran (final-register rebuild)
     idx = ETARGET[e]          # statically known successor (-1 on RET)
-
-Because every exit is one static CFG edge, the per-exit counter the
-driver maintains anyway doubles as a complete edge profile at zero
-marginal cost — :mod:`repro.runtime.superblock` consumes it directly to
-form hot superblock chains, and :mod:`repro.runtime.codegen` uses those
-chains to emit fused per-program modules.
 
 The backend is held to a *bit-identical* contract with the reference
 interpreter (enforced by ``tests/test_fastsim_parity.py``):
@@ -69,7 +62,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.isa.instructions import Instruction, Opcode
-from repro.isa.program import Program
+from repro.isa.program import BasicBlock, Program, ProgramError
 from repro.isa.registers import Reg
 from repro.runtime import trace as tr
 from repro.runtime.interpreter import (
@@ -157,53 +150,34 @@ class ExitTable:
 
     One row per exit, all columns parallel flat lists:
 
-    * ``steps[e]`` — dynamic instructions retired when leaving via ``e``
-      (for a superblock bail, only the executed prefix);
+    * ``steps[e]`` — dynamic instructions retired when leaving via ``e``;
     * ``target[e]`` — static successor block index, -1 for RET;
-    * ``bail[e]`` — 1 if the exit is a superblock mispredict bail;
     * ``writes[e]`` — sorted tuple of register slots written on that
-      path (drives final-register reconstruction);
-    * ``block[e]`` — index of the block whose terminator (or guard)
-      owns the exit; superblock formation groups edges by this.
+      path (drives final-register reconstruction).
     """
 
-    __slots__ = ("steps", "target", "bail", "writes", "block")
+    __slots__ = ("steps", "target", "writes")
 
     def __init__(self) -> None:
         self.steps: list[int] = []
         self.target: list[int] = []
-        self.bail: list[int] = []
         self.writes: list[tuple[int, ...]] = []
-        self.block: list[int] = []
 
-    def add(
-        self,
-        steps: int,
-        target: int,
-        bail: int,
-        writes: tuple[int, ...],
-        block: int,
-    ) -> int:
+    def add(self, steps: int, target: int, writes: tuple[int, ...]) -> int:
         """Register one exit; returns its id."""
         eid = len(self.steps)
         self.steps.append(steps)
         self.target.append(target)
-        self.bail.append(bail)
         self.writes.append(writes)
-        self.block.append(block)
         return eid
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 class _FnState:
     """Mutable emission state for one generated step function.
 
-    Shared across a whole fused superblock chain, so that a register
-    defined by an earlier block in the chain is read from its local
-    (``g<slot>``) rather than re-loaded from ``R`` — the writeback the
-    block-level path would have done is elided until an exit.
+    Registers live in locals (``g<slot>``) for the whole block: each is
+    loaded from ``R`` once, before its first read, and written back once,
+    at the exit.
     """
 
     __slots__ = ("body", "defined", "loaded", "load_order", "writes", "length")
@@ -299,33 +273,18 @@ def _batch_const_appends(lines: list[str]) -> list[str]:
     return out
 
 
-def _lower_block_body(
-    block_instrs: list[Instruction],
-    st: _FnState,
-    here_order: int,
-    block_order: dict[str, int],
-    indent: str = "",
-    uid_base: int = 0,
-) -> Instruction | None:
-    """Lower one block's instructions into ``st``; return the terminator.
-
-    Straight-line instructions (including a branch's comparison and every
-    trace append) are emitted in place; the caller decides what control
-    transfer to generate for the returned terminator — a ``return`` for
-    the block-level path, a guard-and-bail for a superblock interior.
-    Returns None when the block falls off its end without a terminator.
-
-    ``uid_base`` is subtracted from every branch id folded into a trace
-    tuple. Execution always uses 0 (raw, process-global ids, so traces
-    are bit-identical across backends within one process); the codegen
-    cache hashes a second render rebased to the program's minimum uid,
-    which makes the content digest process-invariant.
-    """
-
-    def emit(line: str, trace_only: bool = False) -> None:
-        st.emit(indent + line, trace_only)
-
-    for instr in block_instrs:
+def _gen_block(
+    block: BasicBlock,
+    here: int,
+    block_index: dict[str, int],
+    exits: ExitTable,
+) -> tuple[list[str], list[str]]:
+    """Lower one basic block to its (traced, plain) step-function bodies,
+    registering its exits."""
+    st = _FnState()
+    emit = st.emit
+    term: Instruction | None = None
+    for instr in block.instructions:
         st.length += 1
         op = instr.op
         srcs = instr.srcs
@@ -375,32 +334,35 @@ def _lower_block_body(
         if op in _BRANCH_CMP:
             lhs = st.use(srcs[0])
             rhs = st.use(srcs[1])
-            backward = 2 if block_order[instr.targets[0]] <= here_order else 0
+            backward = 2 if block_index[instr.targets[0]] <= here else 0
             s1, s2 = _reg_index(srcs[0]), _reg_index(srcs[1])
             taken_tup = (
-                f"(6, -1, {s1}, {s2}, {instr.uid - uid_base}, {_region_of(instr)},"
+                f"(6, -1, {s1}, {s2}, {instr.uid}, {_region_of(instr)},"
                 f" {1 | backward})"
             )
             fall_tup = (
-                f"(6, -1, {s1}, {s2}, {instr.uid - uid_base}, {_region_of(instr)},"
+                f"(6, -1, {s1}, {s2}, {instr.uid}, {_region_of(instr)},"
                 f" {backward})"
             )
             emit(f"_tk = {lhs} {_BRANCH_CMP[op]} {rhs}")
             emit(f"A({taken_tup} if _tk else {fall_tup})", trace_only=True)
-            return instr
+            term = instr
+            break
 
         if op is Opcode.JMP:
-            backward = 2 if block_order[instr.targets[0]] <= here_order else 0
+            backward = 2 if block_index[instr.targets[0]] <= here else 0
             emit(
-                f"A((6, -1, -1, -1, {instr.uid - uid_base}, {_region_of(instr)},"
+                f"A((6, -1, -1, -1, {instr.uid}, {_region_of(instr)},"
                 f" {1 | backward | 4}))",
                 trace_only=True,
             )
-            return instr
+            term = instr
+            break
 
         if op is Opcode.RET:
             emit("A((8, -1, -1, -1, -1, -1, 0))", trace_only=True)
-            return instr
+            term = instr
+            break
 
         # ALU family.
         expr = _alu_expr(instr, st.use)
@@ -415,54 +377,22 @@ def _lower_block_body(
             f" {_region_of(instr)}, 0))",
             trace_only=True,
         )
-    return None
 
-
-class _BlockCode:
-    """Codegen result for one step function (block or superblock)."""
-
-    __slots__ = ("length", "trace_lines", "plain_lines")
-
-    def __init__(self, length: int, trace_lines: list[str], plain_lines: list[str]):
-        self.length = length
-        self.trace_lines = trace_lines
-        self.plain_lines = plain_lines
-
-
-def _gen_block(
-    block_instrs: list[Instruction],
-    label: str,
-    block_idx: int,
-    label_index: dict[str, int],
-    block_order: dict[str, int],
-    exits: ExitTable,
-    uid_base: int = 0,
-) -> _BlockCode:
-    """Lower one basic block to a step function, registering its exits."""
-    st = _FnState()
-    term = _lower_block_body(
-        block_instrs, st, block_order[label], block_order, uid_base=uid_base
-    )
     writes = st.writes_tuple()
     if term is None:
         # Mirror the interpreter's error for non-terminated blocks.
-        ret = f"raise RuntimeError({f'fell off the end of block {label!r}'!r})"
+        message = f"fell off the end of block {block.label!r}"
+        ret = f"raise RuntimeError({message!r})"
     elif term.op is Opcode.RET:
-        ret = f"return {exits.add(st.length, -1, 0, writes, block_idx)}"
+        ret = f"return {exits.add(st.length, -1, writes)}"
     elif term.op is Opcode.JMP:
-        target = label_index[term.targets[0]]
-        ret = f"return {exits.add(st.length, target, 0, writes, block_idx)}"
+        target = block_index[term.targets[0]]
+        ret = f"return {exits.add(st.length, target, writes)}"
     else:
-        e_taken = exits.add(
-            st.length, label_index[term.targets[0]], 0, writes, block_idx
-        )
-        e_fall = exits.add(
-            st.length, label_index[term.targets[1]], 0, writes, block_idx
-        )
+        e_taken = exits.add(st.length, block_index[term.targets[0]], writes)
+        e_fall = exits.add(st.length, block_index[term.targets[1]], writes)
         ret = f"return {e_taken} if _tk else {e_fall}"
-    tail = st.writeback_lines() + [ret]
-    trace_lines, plain_lines = st.assemble(tail)
-    return _BlockCode(st.length, trace_lines, plain_lines)
+    return st.assemble(st.writeback_lines() + [ret])
 
 
 StepFn = Callable[..., int]
@@ -482,38 +412,32 @@ class FastProgram:
         self._sp_slot = _reg_index(self._sp)
         self.exits = ExitTable()
 
-        label_index = {b.label: i for i, b in enumerate(program.blocks)}
-        block_order = {b.label: i for i, b in enumerate(program.blocks)}
         if not program.blocks:
             # Match Program.entry's complaint lazily at execute time.
-            self._lens: list[int] = []
             self._tfuncs: list[StepFn] = []
             self._pfuncs: list[StepFn] = []
             self.slot_registers: dict[int, Reg] = {}
             self.num_slots = 32
             return
 
-        codes = [
-            _gen_block(
-                b.instructions, b.label, i, label_index, block_order, self.exits
-            )
+        block_index = {b.label: i for i, b in enumerate(program.blocks)}
+        bodies = [
+            _gen_block(b, i, block_index, self.exits)
             for i, b in enumerate(program.blocks)
         ]
-        self._lens = [c.length for c in codes]
-
         src_lines: list[str] = []
-        for i, code in enumerate(codes):
+        for i, (trace_lines, plain_lines) in enumerate(bodies):
             src_lines.append(f"def _b{i}_t(R, M, T):")
-            src_lines.extend(f"    {line}" for line in code.trace_lines)
+            src_lines.extend(f"    {line}" for line in trace_lines)
             src_lines.append(f"def _b{i}_p(R, M):")
-            src_lines.extend(f"    {line}" for line in code.plain_lines)
+            src_lines.extend(f"    {line}" for line in plain_lines)
         namespace: dict[str, StepFn] = {}
         exec(  # noqa: S102 - the source is generated above, not user input
             compile("\n".join(src_lines), f"<fastsim:{self.name}>", "exec"),
             namespace,
         )
-        self._tfuncs = [namespace[f"_b{i}_t"] for i in range(len(codes))]
-        self._pfuncs = [namespace[f"_b{i}_p"] for i in range(len(codes))]
+        self._tfuncs = [namespace[f"_b{i}_t"] for i in range(len(bodies))]
+        self._pfuncs = [namespace[f"_b{i}_p"] for i in range(len(bodies))]
 
         self.slot_registers = {self._sp_slot: self._sp}
         for reg in program.all_registers():
@@ -527,18 +451,9 @@ class FastProgram:
         initial_registers: dict[Reg, int] | None = None,
         max_steps: int = 2_000_000,
         collect_trace: bool = False,
-        exit_counts: list[int] | None = None,
     ) -> ExecutionResult:
-        """Run to RET; same contract as :func:`interpreter.execute`.
-
-        When ``exit_counts`` is given, the per-exit execution counts of
-        this run are accumulated into it (extending it to the number of
-        exits if needed) — a complete static-edge profile for
-        :func:`repro.runtime.superblock.form_chains`.
-        """
-        if not self._lens:
-            from repro.isa.program import ProgramError
-
+        """Run to RET; same contract as :func:`interpreter.execute`."""
+        if not self._tfuncs:
             raise ProgramError("program has no blocks")
         mem = memory if memory is not None else Memory()
         num_slots = self.num_slots
@@ -578,13 +493,6 @@ class FastProgram:
                     raise ExecutionLimitExceeded(limit_msg)
                 counts[e] += 1
                 idx = etarget[e]
-
-        if exit_counts is not None:
-            if len(exit_counts) < len(counts):
-                exit_counts.extend([0] * (len(counts) - len(exit_counts)))
-            for e, c in enumerate(counts):
-                if c:
-                    exit_counts[e] += c
 
         regs: dict[Reg, int] = {self._sp: R[self._sp_slot]}
         for reg, _ in init_items:

@@ -31,6 +31,11 @@ This module splits the two:
 * :func:`run_lanes` is the public entry: one decode per shared-work
   group, then every lane of the group.
 
+This is the only timing kernel production runs: sweeps run K lanes, and
+a solo design point (``simulate``, ``repro run``) runs one. The
+object-model ``InOrderCore`` is kept as the readable reference the
+kernel is diffed against.
+
 Soundness of the sharing: the memory-hierarchy state depends only on
 the sequence of touched addresses, which is a pure function of the
 trace and of whether the configuration is resilient (a resilient core
@@ -298,7 +303,9 @@ def run_lanes(
 
     Lanes sharing ``(core, resilience.enabled)`` share one decode pass.
     ``feeds`` optionally carries decode results across calls for the
-    same trace (the sweep planner reuses it between lane batches).
+    same trace; production callers (the sweep engine, and the solo
+    path in :mod:`repro.harness.runner` as a single lane) pass none, so
+    no feed outlives its call.
     """
     if feeds is None:
         feeds = {}

@@ -86,12 +86,30 @@ class TestArtifactCache:
             UID, tp_c, ResilienceHardwareConfig.baseline(), CoreConfig()
         )
 
-    def test_clear_and_info(self, disk_cache):
-        disk_cache.store_trace("abc", [(0, -1, -1, -1, -1, -1, 0)])
+    def test_clear_and_info(self, disk_cache, monkeypatch, capsys):
+        disk_cache.store_trace("t" * 40, [(0, -1, -1, -1, -1, -1, 0)])
+        disk_cache.store_stats("s" * 40, SimStats(cycles=1.0))
+        disk_cache.store_vuln("v" * 40, {"cells": []})
+        # A stray file and a retired backend's module are not artifacts.
+        (disk_cache.root / "notes.txt").write_text("stray")
+        (disk_cache.root / f"codegen-{'c' * 40}.py").write_text("# old")
         info = disk_cache.info()
-        assert info["artifacts"] == 1 and info["traces"] == 1
-        assert disk_cache.clear() == 1
+        assert info["artifacts"] == 3
+        assert (info["traces"], info["stats"], info["goldens"],
+                info["vulns"]) == (1, 1, 0, 1)
+        assert "codegens" not in info
+        assert [kind for kind, _, _ in disk_cache.entries()] == [
+            "stats", "trace", "vuln",
+        ]
+        from repro.__main__ import main as cli_main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(disk_cache.root))
+        assert cli_main(["cache", "info"]) == 0
+        assert "(1 traces, 1 stats, 0 goldens, 1 vulns)" in capsys.readouterr().out
+        # clear() (hence prune) still reclaims the legacy module.
+        assert disk_cache.clear() == 4
         assert disk_cache.artifact_paths() == []
+        assert sorted(p.name for p in disk_cache.root.iterdir()) == ["notes.txt"]
 
     def test_default_disabled_by_env(self, monkeypatch):
         for value in ("0", "off", "none", ""):
@@ -229,7 +247,7 @@ class TestRunCachePersistence:
 
         # A fresh in-process cache over the same disk layer must serve
         # both the stats and the prepared trace without ever building a
-        # workload, compiling, or running the timing core again.
+        # workload, compiling, or running the timing kernel again.
         import repro.harness.runner as runner_mod
 
         def boom(*args, **kwargs):
@@ -238,7 +256,7 @@ class TestRunCachePersistence:
         monkeypatch.setattr(runner_mod, "build_workload", boom)
         monkeypatch.setattr(runner_mod, "compile_baseline", boom)
         monkeypatch.setattr(runner_mod, "compile_program", boom)
-        monkeypatch.setattr(runner_mod.InOrderCore, "run", boom)
+        monkeypatch.setattr(runner_mod, "run_lanes", boom)
         warm = RunCache(persistent=disk_cache)
         assert warm.stats(UID, config, hardware) == want
         run = warm.prepared(UID, config)

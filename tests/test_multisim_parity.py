@@ -17,8 +17,11 @@ The wall has three layers:
    CLQ, CLQ sizes, WCDLs, Turnstile, disabled resilience) in a single
    ``run_lanes`` call, so the shared-decode grouping itself is
    exercised;
-3. the engine end-to-end: ``run_sweep`` against solo ``simulate``,
-   including digest-level dedup and warm-cache resolution.
+3. the engine end-to-end: ``run_sweep`` against solo ``InOrderCore``
+   runs, including digest-level dedup and warm-cache resolution.
+
+Production timing (``simulate`` as well as ``run_sweep``) runs on the
+lane kernel, so ``InOrderCore`` is the independent reference here.
 """
 
 from __future__ import annotations
@@ -117,7 +120,8 @@ class TestSharedDecodeLaneFan:
 
 
 class TestEngineEndToEnd:
-    """run_sweep == simulate, with dedup and warm-path behaviour."""
+    """run_sweep == the reference core, with dedup and warm-path
+    behaviour."""
 
     def test_run_sweep_matches_simulate(self):
         uids = QUICK_UIDS[:2]
@@ -129,12 +133,9 @@ class TestEngineEndToEnd:
         points = lattice(uids, pairs)
         engine_cache = RunCache(persistent=None)
         result = run_sweep(points, cache=engine_cache)
-        solo_cache = RunCache(persistent=None)
         for point in points:
-            ref = simulate(
-                point.uid, point.compiler, point.hardware,
-                core=point.core, cache=solo_cache,
-            )
+            trace = _trace(point.uid, point.compiler)
+            ref = InOrderCore(point.core, point.hardware).run(trace)
             assert result[point] == ref, point
 
     def test_digest_equal_configs_share_one_lane(self):
@@ -175,7 +176,7 @@ class TestEngineEndToEnd:
         def boom(*args, **kwargs):
             raise AssertionError("solo recompute after sweep")
 
-        monkeypatch.setattr(runner_mod.InOrderCore, "run", boom)
+        monkeypatch.setattr(runner_mod, "run_lanes", boom)
         stats = simulate(uid, compiler, hw, cache=cache)
         assert stats == result[DesignPoint(uid, compiler, hw)]
 

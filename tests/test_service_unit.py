@@ -76,6 +76,9 @@ class TestJobSpec:
             JobSpec.create("run", {"uid": "NOPE.nope"})
         with pytest.raises(ValueError, match="expected an integer"):
             JobSpec.create("run", {"uid": UID, "wcdl": "ten"})
+        # Only the fast and reference backends exist.
+        with pytest.raises(ValueError, match="expected one of"):
+            JobSpec.create("run", {"uid": UID, "backend": "codegen"})
 
     def test_lint_uid_xor_all(self):
         with pytest.raises(ValueError, match="uid or all"):
