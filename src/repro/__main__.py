@@ -1,68 +1,9 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Commands:
-  list                       — list the 36 benchmarks
-  run <uid> [--wcdl N] [--sb N] [--scheme turnpike|turnstile|baseline]
-      [--backend fast|reference]
-                             — compile + simulate one benchmark
-  inject [uid] [--count N] [--wcdl N] [--targets a,b] [--workers N]
-         [--manifest PATH] [--resume] [--export PATH]
-         [--accel on|off] [--snapshot-interval N] [--shards LO:HI]
-         [--sample] [--ci-width W] [--confidence C] [--token-rate N]
-                             — differential fault-injection campaign
-                               across protocol variants (parallel,
-                               resumable via the manifest; snapshot
-                               acceleration on by default and
-                               observationally invisible; --shards
-                               restricts to a shard-id range — the
-                               fabric's lease primitive; --sample
-                               switches to stratified importance
-                               sampling over the vulnerability map,
-                               reporting AVF with a confidence interval
-                               instead of per-index records)
-  vuln [uid] [--scheme S] [--wcdl N] [--variants a,b]
-       [--format text|json] [--no-cache]
-       [--validate [--seed N] [--ci-width W]]
-                             — bit-level vulnerability analysis: the
-                               masked/vulnerable/unknown breakdown per
-                               structure, or (--validate) the
-                               sampled-vs-exhaustive cross-check on
-                               quick benchmarks
-  lint <uid>|--all [--scheme S] [--sb N] [--format text|json|sarif]
-       [--no-differential] [--strict] [--output PATH] [--workers N]
-                             — static resilience verifier over compiled
-                               benchmarks (exit 0 clean, 1 findings,
-                               2 usage); --workers shards --all across
-                               processes
-  figure <id>                — regenerate one figure/table on the full
-                               suite (fig4, fig14, fig15, fig18, fig19,
-                               fig20, fig21, fig22, fig23, fig24, fig25,
-                               fig26, table1)
-  cache info|clear|warm|prune [--workers N] [--list] [--json]
-                             — inspect, empty, pre-populate, or
-                               generation-sync the persistent
-                               simulation artifact cache (info output
-                               is deterministically ordered; --list
-                               enumerates artifacts sorted by key;
-                               prune drops artifacts from dead source
-                               generations)
-  sensors [--clock GHZ]      — sensor-count vs WCDL table
-  serve [--port P] [--workers N] [--queue-limit N] [--journal DIR]
-        [--role local|coordinator|worker] [--coordinator H:P]
-        [--coordinator-journal DIR] [--node-id ID]
-                             — run the async batch job service
-                               (HTTP/JSON; queue + dedup + crash-safe
-                               journal; drains gracefully on SIGTERM).
-                               --role coordinator scatters campaigns
-                               across registered worker nodes; --role
-                               worker enrolls this server with a
-                               coordinator via heartbeats
-  nodes [--json]             — list a coordinator's worker nodes
-  submit run|inject|lint|vuln ... [--wait] [--priority P]
-         [--endpoint H:P]   — submit a job to a running service
-  jobs [--json] [--mine]     — list service jobs
-  result <job-id> [--wait]   — fetch a job's output (exits with the
-                               job's own exit code)
+``repro --help`` lists the commands and ``repro <command> --help`` their
+flags. The six job-kind commands (run, inject, lint, vuln, sweep, ecc)
+are declared once in :mod:`repro.commands`, which also derives their
+``submit <kind>`` spelling and the batch service's job specs.
 """
 
 from __future__ import annotations
@@ -122,15 +63,10 @@ def _cmd_inject(args) -> int:
         print("--resume requires --manifest", file=sys.stderr)
         return 2
     only_shards = None
-    if args.shards is not None:
-        from repro.service.jobs import parse_shard_range
+    if args.shards is not None:  # validated against the command table
+        from repro.commands import parse_shard_range
 
-        try:
-            lo, hi = parse_shard_range(args.shards)
-        except ValueError as exc:
-            print(f"invalid --shards: {exc}", file=sys.stderr)
-            return 2
-        only_shards = set(range(lo, hi))
+        only_shards = set(range(*parse_shard_range(args.shards)))
 
     if args.snapshot_interval is None:
         accel = AccelOptions(enabled=args.accel == "on")
@@ -250,16 +186,55 @@ def _cmd_lint(args) -> int:
     return run_lint(args)
 
 
+def _shared_figures() -> dict:
+    """The figures ``figure`` and ``sweep`` print alike.
+
+    Suite id -> (the experiments driver ``figure`` calls, text renderer).
+    """
+    from repro.harness import experiments as exp
+    from repro.harness import reporting as rep
+
+    return {
+        "fig04": (exp.fig04_checkpoint_ratio, lambda r: rep.format_series_table(
+            [r[40], r[4]], value_format="{:.3f}", aggregate="mean",
+            title="Figure 4 - checkpoint ratio vs SB size")),
+        "fig18": (exp.fig18_sensor_latency, lambda r: "\n".join(
+            f"{clock} GHz: " + "  ".join(
+                f"{n}->{lat:.1f}cy" for n, lat in points)
+            for clock, points in r.items())),
+        "fig19": (exp.fig19_turnpike_wcdl, lambda r: rep.format_series_table(
+            [r[w] for w in sorted(r)],
+            title="Figure 19 - Turnpike overhead vs WCDL")),
+        "fig20": (exp.fig20_turnstile_wcdl, lambda r: rep.format_series_table(
+            [r[w] for w in sorted(r)],
+            title="Figure 20 - Turnstile overhead vs WCDL")),
+        "fig21": (exp.fig21_ablation, lambda r: rep.format_series_table(
+            r, title="Figure 21 - optimization ablation")),
+        "fig22": (exp.fig22_sb_sensitivity, lambda r: rep.format_series_table(
+            [r["turnstile"][s] for s in sorted(r["turnstile"])]
+            + [r["turnpike"][s] for s in sorted(r["turnpike"])],
+            title="Figure 22 - SB sensitivity")),
+        "fig24": (exp.fig24_clq_occupancy, lambda r: rep.format_mapping_table(
+            r, headers=("average", "maximum"),
+            title="Figure 24 - CLQ occupancy")),
+        "fig26": (exp.fig26_region_codesize, lambda r: rep.format_mapping_table(
+            {k: (v[0], 100 * v[1]) for k, v in r.items()},
+            headers=("region size", "growth %"),
+            title="Figure 26 - region size / code growth")),
+        "table1": (exp.table1_hw_cost, rep.format_table1),
+    }
+
+
 def _cmd_figure(args) -> int:
     from repro.harness import experiments as exp
     from repro.harness import reporting as rep
 
     fid = args.id.lower()
-    if fid in ("fig4", "fig04"):
-        result = exp.fig04_checkpoint_ratio()
-        print(rep.format_series_table(
-            [result[40], result[4]], value_format="{:.3f}", aggregate="mean",
-            title="Figure 4 - checkpoint ratio vs SB size"))
+    fid = "fig04" if fid == "fig4" else fid
+    shared = _shared_figures()
+    if fid in shared:
+        driver, render = shared[fid]
+        print(render(driver()))
     elif fid in ("fig14", "fig15"):
         result = exp.fig14_fig15_clq_designs()
         key = "overhead" if fid == "fig14" else "warfree_ratio"
@@ -267,58 +242,20 @@ def _cmd_figure(args) -> int:
             [result[key]["ideal"], result[key]["compact"]],
             value_format="{:.3f}",
             title=f"Figure {fid[3:]} - ideal vs compact CLQ"))
-    elif fid == "fig18":
-        for clock, points in exp.fig18_sensor_latency().items():
-            print(f"{clock} GHz: " + "  ".join(f"{n}->{lat:.1f}cy" for n, lat in points))
-    elif fid == "fig19":
-        result = exp.fig19_turnpike_wcdl()
-        print(rep.format_series_table(
-            [result[w] for w in sorted(result)],
-            title="Figure 19 - Turnpike overhead vs WCDL"))
-    elif fid == "fig20":
-        result = exp.fig20_turnstile_wcdl()
-        print(rep.format_series_table(
-            [result[w] for w in sorted(result)],
-            title="Figure 20 - Turnstile overhead vs WCDL"))
-    elif fid == "fig21":
-        print(rep.format_series_table(
-            exp.fig21_ablation(), title="Figure 21 - optimization ablation"))
-    elif fid == "fig22":
-        result = exp.fig22_sb_sensitivity()
-        series = [result["turnstile"][s] for s in sorted(result["turnstile"])]
-        series += [result["turnpike"][s] for s in sorted(result["turnpike"])]
-        print(rep.format_series_table(series, title="Figure 22 - SB sensitivity"))
     elif fid == "fig23":
         breakdown = exp.fig23_store_breakdown()
         print(rep.format_breakdown_table(breakdown))
         means = exp.breakdown_means(breakdown)
         print("means:", "  ".join(f"{k}={100 * v:.1f}%" for k, v in means.items()))
-    elif fid == "fig24":
-        print(rep.format_mapping_table(
-            exp.fig24_clq_occupancy(), headers=("average", "maximum"),
-            title="Figure 24 - CLQ occupancy"))
     elif fid == "fig25":
         result = exp.fig25_clq_size()
         print(rep.format_series_table(
             [result[2], result[4]], value_format="{:.3f}",
             title="Figure 25 - CLQ-2 vs CLQ-4"))
-    elif fid == "fig26":
-        data = exp.fig26_region_codesize()
-        print(rep.format_mapping_table(
-            {k: (v[0], 100 * v[1]) for k, v in data.items()},
-            headers=("region size", "growth %"),
-            title="Figure 26 - region size / code growth"))
-    elif fid == "table1":
-        print(rep.format_table1(exp.table1_hw_cost()))
     else:
         print(f"unknown figure id {args.id!r}", file=sys.stderr)
         return 2
     return 0
-
-
-_SWEEP_ALIASES = {
-    "fig4": "fig04", "fig14": "fig14_15", "fig15": "fig14_15",
-}
 
 
 def _sweep_json(name: str, result) -> object:
@@ -391,7 +328,7 @@ def _sweep_ecc_fan(args) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    if args.json:
+    if args.format == "json":
         payload: dict = {
             label: {
                 "spec": report.spec.to_dict(),
@@ -418,20 +355,15 @@ def _cmd_sweep(args) -> int:
     import json as _json
     import time
 
+    from repro.commands import canonical_figures
     from repro.harness import experiments as exp
     from repro.harness import reporting as rep
     from repro.harness.runner import resolve_workers
 
     if args.ecc_codes:
         return _sweep_ecc_fan(args)
-    wanted = None
-    if args.figures:
-        wanted = tuple(
-            dict.fromkeys(
-                _SWEEP_ALIASES.get(fid.lower(), fid.lower())
-                for fid in args.figures
-            )
-        )
+    figures = canonical_figures(args.figures)
+    wanted = tuple(figures.split(",")) if figures else None
     benchmarks = args.benchmarks.split(",") if args.benchmarks else None
     workers = resolve_workers(args.workers)
     started = time.perf_counter()
@@ -443,7 +375,7 @@ def _cmd_sweep(args) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    if args.json:
+    if args.format == "json":
         payload = {
             name: _sweep_json(name, result)
             for name, result in results.items()
@@ -452,9 +384,9 @@ def _cmd_sweep(args) -> int:
         print(_json.dumps(payload, indent=2, sort_keys=True, default=str))
         return 0
     renderers = {
-        "fig04": lambda r: rep.format_series_table(
-            [r[40], r[4]], value_format="{:.3f}", aggregate="mean",
-            title="Figure 4 - checkpoint ratio vs SB size"),
+        name: render for name, (_driver, render) in _shared_figures().items()
+    }
+    renderers.update({
         "fig14_15": lambda r: "\n".join((
             rep.format_series_table(
                 [r["overhead"]["ideal"], r["overhead"]["compact"]],
@@ -465,35 +397,11 @@ def _cmd_sweep(args) -> int:
                 value_format="{:.3f}",
                 title="Figure 15 - WAR-free release ratio"),
         )),
-        "fig18": lambda r: "\n".join(
-            f"{clock} GHz: " + "  ".join(
-                f"{n}->{lat:.1f}cy" for n, lat in points)
-            for clock, points in r.items()),
-        "fig19": lambda r: rep.format_series_table(
-            [r[w] for w in sorted(r)],
-            title="Figure 19 - Turnpike overhead vs WCDL"),
-        "fig20": lambda r: rep.format_series_table(
-            [r[w] for w in sorted(r)],
-            title="Figure 20 - Turnstile overhead vs WCDL"),
-        "fig21": lambda r: rep.format_series_table(
-            r, title="Figure 21 - optimization ablation"),
-        "fig22": lambda r: rep.format_series_table(
-            [r["turnstile"][s] for s in sorted(r["turnstile"])]
-            + [r["turnpike"][s] for s in sorted(r["turnpike"])],
-            title="Figure 22 - SB sensitivity"),
-        "fig23": lambda r: rep.format_breakdown_table(r),
-        "fig24": lambda r: rep.format_mapping_table(
-            r, headers=("average", "maximum"),
-            title="Figure 24 - CLQ occupancy"),
+        "fig23": rep.format_breakdown_table,
         "fig25": lambda r: rep.format_series_table(
             [r[s] for s in sorted(r)], value_format="{:.3f}",
             title="Figure 25 - CLQ size sensitivity"),
-        "fig26": lambda r: rep.format_mapping_table(
-            {k: (v[0], 100 * v[1]) for k, v in r.items()},
-            headers=("region size", "growth %"),
-            title="Figure 26 - region size / code growth"),
-        "table1": rep.format_table1,
-    }
+    })
     for name, result in results.items():
         print(renderers[name](result))
         print()
@@ -521,8 +429,8 @@ def _cmd_ecc(args) -> int:
         else default_codes()
     )
     structures = (
-        tuple(s.strip() for s in args.structure.split(",") if s.strip())
-        if args.structure
+        tuple(s.strip() for s in args.structures.split(",") if s.strip())
+        if args.structures
         else default_structures()
     )
     try:
@@ -687,6 +595,7 @@ def _add_client_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.commands import COMMANDS, add_parser
 
     parser = argparse.ArgumentParser(
         prog="repro", description="Turnpike reproduction toolkit"
@@ -698,334 +607,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list benchmarks")
 
-    run_p = sub.add_parser("run", help="compile + simulate one benchmark")
-    run_p.add_argument("uid")
-    run_p.add_argument("--wcdl", type=int, default=10)
-    run_p.add_argument("--sb", type=int, default=4)
-    run_p.add_argument(
-        "--scheme",
-        choices=("turnpike", "turnstile", "baseline"),
-        default="turnpike",
-    )
-    run_p.add_argument(
-        "--backend",
-        choices=("fast", "reference"),
-        default="fast",
-        help="functional simulation backend (fast: compiled basic-block "
-        "replay; reference: the golden interpreter)",
-    )
-
-    inj_p = sub.add_parser("inject", help="fault-injection campaign")
-    inj_p.add_argument("uid", nargs="?", default="SPLASH3.radix")
-    inj_p.add_argument("--count", type=int, default=30)
-    inj_p.add_argument("--wcdl", type=int, default=10)
-    inj_p.add_argument("--seed", type=int, default=2024)
-    inj_p.add_argument(
-        "--targets",
-        default="register,store_buffer,clq,coloring",
-        help="comma-separated structures to strike (register, store_buffer,"
-        " clq, coloring, checkpoint, pc, memory)",
-    )
-    inj_p.add_argument(
-        "--variants",
-        default="turnstile,warfree,turnpike,unsafe",
-        help="comma-separated protocol variants to diff",
-    )
-    inj_p.add_argument(
-        "--workers", type=int, default=1, help="worker processes for shards"
-    )
-    inj_p.add_argument(
-        "--shard-size", type=int, default=8, help="injections per shard"
-    )
-    inj_p.add_argument(
-        "--manifest",
-        default=None,
-        help="JSON manifest checkpointed after every shard (enables resume)",
-    )
-    inj_p.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted campaign from --manifest",
-    )
-    inj_p.add_argument(
-        "--export", default=None, help="write the aggregate JSON to this path"
-    )
-    inj_p.add_argument(
-        "--accel",
-        choices=("on", "off"),
-        default="on",
-        help="snapshot acceleration: golden-run memoization, injection "
-        "fast-forward, and convergence early-exit (observationally "
-        "invisible; aggregate JSON is byte-identical either way)",
-    )
-    inj_p.add_argument(
-        "--snapshot-interval",
-        type=int,
-        default=None,
-        help="ticks between golden-run snapshots (<= 0: fingerprints only, "
-        "no fast-forward)",
-    )
-    inj_p.add_argument(
-        "--shards",
-        default=None,
-        metavar="LO:HI",
-        help="run only shard ids [LO, HI) — a campaign lease; results "
-        "checkpoint into --manifest for later merge/resume",
-    )
-    inj_p.add_argument(
-        "--sample",
-        action="store_true",
-        help="stratified importance sampling over the vulnerability map: "
-        "masked strata audited at a token rate (any failure aborts "
-        "loudly), vulnerable strata sampled adaptively until the "
-        "Wilson interval is tighter than --ci-width; reports AVF "
-        "with a confidence interval instead of per-index records",
-    )
-    inj_p.add_argument(
-        "--ci-width",
-        type=float,
-        default=0.05,
-        help="--sample: target half-width of each stratum's weighted "
-        "confidence interval",
-    )
-    inj_p.add_argument(
-        "--confidence",
-        type=float,
-        default=0.95,
-        help="--sample: confidence level for the Wilson intervals",
-    )
-    inj_p.add_argument(
-        "--token-rate",
-        type=int,
-        default=8,
-        help="--sample: injections per masked stratum spent cross-checking "
-        "the static masked claim",
-    )
-    inj_p.add_argument(
-        "--ecc",
-        default=None,
-        metavar="CODE",
-        help="decode struck words through a real ECC (parity, sec, secded, "
-        "secdaec, bch) instead of the abstract parity fail-safe; "
-        "miscorrections substitute the wrong value and surface as the "
-        "'miscorrected' outcome",
-    )
-    inj_p.add_argument(
-        "--upset",
-        default=None,
-        metavar="PATTERN",
-        help="multi-bit upset shape per strike (single, adjacent-double, "
-        "burst<k>, random<k>, column<k>; default: the historical "
-        "single/double draw)",
-    )
-
-    vuln_p = sub.add_parser(
-        "vuln", help="bit-level vulnerability analysis"
-    )
-    vuln_p.add_argument("uid", nargs="?", default=None)
-    vuln_p.add_argument(
-        "--scheme", choices=("turnpike", "turnstile"), default="turnpike"
-    )
-    vuln_p.add_argument("--wcdl", type=int, default=10)
-    vuln_p.add_argument(
-        "--variants",
-        default="turnstile,warfree,turnpike",
-        help="comma-separated protocol variants to classify under",
-    )
-    vuln_p.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-    vuln_p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="rebuild the map even when a cached artifact exists",
-    )
-    vuln_p.add_argument(
-        "--validate",
-        action="store_true",
-        help="cross-check the sampled estimator against an exhaustive "
-        "audit (default: the quick benchmark trio; exit 1 on any "
-        "misclassified masked cell or uncovered interval)",
-    )
-    vuln_p.add_argument(
-        "--seed", type=int, default=1234, help="--validate: RNG seed"
-    )
-    vuln_p.add_argument(
-        "--ci-width",
-        type=float,
-        default=0.05,
-        help="--validate: target weighted interval half-width",
-    )
-
-    lint_p = sub.add_parser(
-        "lint", help="statically verify compiled benchmarks"
-    )
-    lint_p.add_argument("uid", nargs="?", default=None)
-    lint_p.add_argument(
-        "--all", action="store_true", help="lint every benchmark"
-    )
-    lint_p.add_argument(
-        "--scheme", choices=("turnpike", "turnstile"), default="turnpike"
-    )
-    lint_p.add_argument("--sb", type=int, default=4)
-    lint_p.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    lint_p.add_argument(
-        "--no-differential",
-        action="store_true",
-        help="skip the dynamic WAR cross-check (static rules only)",
-    )
-    lint_p.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings as failures",
-    )
-    lint_p.add_argument(
-        "--max-per-rule",
-        type=int,
-        default=8,
-        help="text output: findings shown per rule/severity (-1: all)",
-    )
-    lint_p.add_argument(
-        "--output", default=None, help="write the report to this path"
-    )
-    lint_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --all (default: REPRO_WORKERS or 1; "
-        "0 means one per CPU)",
-    )
-    lint_p.add_argument(
-        "--upset-model",
-        default="single",
-        metavar="PATTERN",
-        help="fault model R9 checks the declared protection codes "
-        "against (single, adjacent-double, burst<k>, random<k>, "
-        "column<k>; default single)",
-    )
+    for command in COMMANDS.values():
+        add_parser(sub, command)
 
     fig_p = sub.add_parser("figure", help="regenerate a figure/table")
     fig_p.add_argument("id")
-
-    sweep_p = sub.add_parser(
-        "sweep",
-        help="evaluate figure lattices through the multi-lane sweep engine",
-    )
-    sweep_p.add_argument(
-        "figures",
-        nargs="*",
-        help="figure ids to sweep (default: the whole suite); shared "
-        "design points are evaluated once",
-    )
-    sweep_p.add_argument(
-        "--benchmarks",
-        default=None,
-        help="comma-separated benchmark uids (default: all 36)",
-    )
-    sweep_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for lane batches (default: REPRO_WORKERS "
-        "or 1; 0 means one per CPU)",
-    )
-    sweep_p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit machine-readable JSON instead of tables",
-    )
-    sweep_p.add_argument(
-        "--ecc-codes",
-        default=None,
-        metavar="CODES",
-        help="fan one fault campaign across a comma-separated code axis "
-        "(parity, sec, secded, secdaec, bch; 'off' = abstract fail-safe) "
-        "instead of sweeping figures; duplicate codes dedup in order",
-    )
-    sweep_p.add_argument(
-        "--ecc-uid",
-        default="SPLASH3.radix",
-        help="--ecc-codes: benchmark to strike",
-    )
-    sweep_p.add_argument(
-        "--ecc-count", type=int, default=24,
-        help="--ecc-codes: injections per code point",
-    )
-    sweep_p.add_argument(
-        "--ecc-seed", type=int, default=2024,
-        help="--ecc-codes: campaign seed (shared across the axis)",
-    )
-    sweep_p.add_argument(
-        "--ecc-wcdl", type=int, default=10,
-        help="--ecc-codes: worst-case detection latency",
-    )
-    sweep_p.add_argument(
-        "--ecc-targets",
-        default="register,store_buffer,clq,coloring",
-        help="--ecc-codes: comma-separated structures to strike",
-    )
-    sweep_p.add_argument(
-        "--ecc-variants",
-        default="turnstile,warfree,turnpike,unsafe",
-        help="--ecc-codes: comma-separated protocol variants to diff",
-    )
-    sweep_p.add_argument(
-        "--ecc-upset",
-        default=None,
-        metavar="PATTERN",
-        help="--ecc-codes: multi-bit upset shape per strike (default: "
-        "the historical single/double draw)",
-    )
-
-    ecc_p = sub.add_parser(
-        "ecc",
-        help="explore the ECC design space (codes x structures x upsets)",
-    )
-    ecc_p.add_argument(
-        "--codes",
-        default=None,
-        metavar="CODES",
-        help="comma-separated codes to evaluate (parity, sec, secded, "
-        "secdaec, bch; default: all)",
-    )
-    ecc_p.add_argument(
-        "--structure",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated protected structures (sb, clq, checkpoint; "
-        "default: all)",
-    )
-    ecc_p.add_argument(
-        "--patterns",
-        default="single,adjacent-double,burst3",
-        metavar="PATTERNS",
-        help="comma-separated upset shapes (single, adjacent-double, "
-        "burst<k>, random<k>, column<k>)",
-    )
-    ecc_p.add_argument(
-        "--pareto",
-        action="store_true",
-        help="mark the per-structure Pareto frontier (coverage up, "
-        "area/energy down)",
-    )
-    ecc_p.add_argument(
-        "--interleave",
-        action="store_true",
-        help="also evaluate bit-interleaved codeword layouts",
-    )
-    ecc_p.add_argument(
-        "--trials",
-        type=int,
-        default=2000,
-        help="Monte-Carlo trials per (layout, pattern) when the instance "
-        "set is too large to enumerate",
-    )
-    ecc_p.add_argument("--seed", type=int, default=0)
-    ecc_p.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
 
     cache_p = sub.add_parser(
         "cache", help="manage the persistent simulation artifact cache"
@@ -1151,8 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a job to a running service"
     )
     kind_sub = submit_p.add_subparsers(dest="kind", required=True)
-    for kind in ("run", "inject", "lint", "vuln", "sweep", "ecc"):
-        kp = kind_sub.add_parser(kind, help=f"submit a {kind} job")
+    for command in COMMANDS.values():
+        kp = add_parser(kind_sub, command, submit=True)
         _add_client_flags(kp)
         kp.add_argument(
             "--priority",
@@ -1173,98 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
             "the job's exit code",
         )
         kp.add_argument("--wait-timeout", type=float, default=None)
-        if kind == "run":
-            kp.add_argument("uid")
-            kp.add_argument("--wcdl", type=int, default=None)
-            kp.add_argument("--sb", type=int, default=None)
-            kp.add_argument(
-                "--scheme",
-                choices=("turnpike", "turnstile", "baseline"),
-                default=None,
-            )
-            kp.add_argument(
-                "--backend",
-                choices=("fast", "reference"),
-                default=None,
-            )
-        elif kind == "inject":
-            kp.add_argument("uid", nargs="?", default=None)
-            kp.add_argument("--count", type=int, default=None)
-            kp.add_argument("--wcdl", type=int, default=None)
-            kp.add_argument("--seed", type=int, default=None)
-            kp.add_argument("--targets", default=None)
-            kp.add_argument("--variants", default=None)
-            kp.add_argument(
-                "--shard-size", dest="shard_size", type=int, default=None
-            )
-            kp.add_argument("--accel", choices=("on", "off"), default=None)
-            kp.add_argument(
-                "--snapshot-interval",
-                dest="snapshot_interval",
-                type=int,
-                default=None,
-            )
-            kp.add_argument("--shards", default=None, metavar="LO:HI")
-            kp.add_argument("--ecc", default=None, metavar="CODE")
-            kp.add_argument("--upset", default=None, metavar="PATTERN")
-        elif kind == "lint":
-            kp.add_argument("uid", nargs="?", default=None)
-            kp.add_argument("--all", action="store_true")
-            kp.add_argument(
-                "--scheme", choices=("turnpike", "turnstile"), default=None
-            )
-            kp.add_argument("--sb", type=int, default=None)
-            kp.add_argument(
-                "--format", choices=("text", "json", "sarif"), default=None
-            )
-            kp.add_argument("--no-differential", action="store_true")
-            kp.add_argument("--strict", action="store_true")
-            kp.add_argument(
-                "--upset-model",
-                dest="upset_model",
-                default=None,
-                metavar="PATTERN",
-            )
-        elif kind == "vuln":
-            kp.add_argument("uid")
-            kp.add_argument("--wcdl", type=int, default=None)
-            kp.add_argument(
-                "--scheme", choices=("turnpike", "turnstile"), default=None
-            )
-            kp.add_argument("--variants", default=None)
-            kp.add_argument(
-                "--format", choices=("text", "json"), default=None
-            )
-        elif kind == "sweep":
-            kp.add_argument(
-                "--figures",
-                default=None,
-                help="comma-separated figure ids (default: whole suite)",
-            )
-            kp.add_argument(
-                "--benchmarks",
-                default=None,
-                help="comma-separated benchmark uids (default: all 36)",
-            )
-            kp.add_argument(
-                "--format", choices=("text", "json"), default=None
-            )
-        else:  # ecc
-            kp.add_argument("--codes", default=None, metavar="CODES")
-            kp.add_argument(
-                "--structure",
-                dest="structures",
-                default=None,
-                metavar="NAMES",
-            )
-            kp.add_argument("--patterns", default=None, metavar="PATTERNS")
-            kp.add_argument("--pareto", action="store_true")
-            kp.add_argument("--interleave", action="store_true")
-            kp.add_argument("--trials", type=int, default=None)
-            kp.add_argument("--seed", type=int, default=None)
-            kp.add_argument(
-                "--format", choices=("text", "json"), default=None
-            )
 
     jobs_p = sub.add_parser("jobs", help="list jobs on a running service")
     _add_client_flags(jobs_p)
@@ -1289,8 +783,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.commands import COMMANDS, validate_args
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in COMMANDS:
+        try:
+            validate_args(args, args.command)
+        except ValueError as exc:
+            print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+            return 2
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,

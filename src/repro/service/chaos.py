@@ -40,6 +40,7 @@ import time
 from pathlib import Path
 
 from repro.service.client import ServiceClient
+from repro.service.jobs import JobSpec
 
 
 def _say(message: str) -> None:
@@ -158,14 +159,6 @@ def run_chaos(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     deadline = time.monotonic() + args.timeout
 
-    inject_argv = [
-        args.uid,
-        "--count", str(args.count),
-        "--seed", str(args.inject_seed),
-        "--targets", args.targets,
-        "--variants", args.variants,
-        "--shard-size", str(args.shard_size),
-    ]
     spec = {
         "uid": args.uid,
         "count": args.count,
@@ -174,14 +167,15 @@ def run_chaos(args: argparse.Namespace) -> int:
         "variants": args.variants,
         "shard_size": args.shard_size,
     }
+    inject_argv = JobSpec.create("inject", spec).to_argv()
 
     # -- phase 1: local reference -----------------------------------------
-    _say(f"reference run: repro inject {' '.join(inject_argv)}")
+    _say(f"reference run: repro {' '.join(inject_argv)}")
     ref_export = root / "reference.json"
     started = time.monotonic()
     reference = subprocess.run(
         [
-            sys.executable, "-m", "repro", "inject",
+            sys.executable, "-m", "repro",
             *inject_argv, "--export", str(ref_export),
         ],
         capture_output=True,

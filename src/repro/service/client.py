@@ -20,6 +20,7 @@ import sys
 import time
 from typing import Any
 
+from repro.commands import spec_from_args
 from repro.service import transport
 from repro.service.backoff import BackoffPolicy
 from repro.service.journal import Journal, default_root
@@ -225,39 +226,12 @@ def _client_from_args(args: Any) -> ServiceClient:
     return client
 
 
-def _spec_from_args(args: Any) -> dict[str, Any]:
-    """Collect the kind-specific CLI flags into a spec dict.
-
-    Only explicitly provided flags are forwarded; defaults are filled
-    in (identically) by :class:`JobSpec`, so a bare submission and a
-    fully spelled-out one dedupe to the same key.
-    """
-    spec: dict[str, Any] = {}
-    for name in (
-        "uid", "wcdl", "sb", "scheme", "backend",  # run / lint
-        "count", "seed", "targets", "variants", "shard_size",
-        "accel", "snapshot_interval", "shards", "ecc", "upset",  # inject
-        "format", "strict", "upset_model",  # lint
-        "figures", "benchmarks",  # sweep
-        "codes", "structures", "patterns", "trials",  # ecc
-        "pareto", "interleave",
-    ):
-        value = getattr(args, name, None)
-        if value is not None and value is not False:
-            spec[name] = value
-    if getattr(args, "all", False):
-        spec["all"] = True
-    if getattr(args, "no_differential", False):
-        spec["differential"] = False
-    return spec
-
-
 def cmd_submit(args: Any) -> int:
     try:
         client = _client_from_args(args)
         job, deduped = client.submit(
             args.kind,
-            _spec_from_args(args),
+            spec_from_args(args, args.kind),
             priority=args.priority,
             timeout=args.job_timeout,
         )

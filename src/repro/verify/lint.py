@@ -149,7 +149,7 @@ def run_lint(args: argparse.Namespace, out: TextIO | None = None) -> int:
         uids,
         scheme=args.scheme,
         sb_size=args.sb,
-        differential=not args.no_differential,
+        differential=args.differential,
         workers=workers,
         upset_model=upset_model,
     )

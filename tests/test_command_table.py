@@ -1,0 +1,100 @@
+"""The direct CLI and the job service reject the same values.
+
+Parameterised over :data:`repro.commands.COMMANDS`: every exposed
+parameter of the six job-kind commands either has a bad spelling listed
+in ``BAD`` (which ``repro <kind>`` must refuse with exit 2 *and*
+``JobSpec.create`` must refuse with ValueError) or is listed in
+``ANY_VALUE`` because every value argparse lets through is valid.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.__main__ import main
+from repro.commands import COMMANDS, EXPOSED
+from repro.service.jobs import JobSpec
+
+UID = "CPU2006.mcf"
+
+#: A bad CLI spelling per validated (kind, spec key).
+BAD = {
+    ("run", "uid"): "NOPE.nope",
+    ("run", "wcdl"): "-3",
+    ("run", "sb"): "0",
+    ("run", "scheme"): "fastest",
+    ("run", "backend"): "codegen",
+    ("inject", "uid"): "NOPE.nope",
+    ("inject", "count"): "0",
+    ("inject", "wcdl"): "0",
+    ("inject", "targets"): " ",
+    ("inject", "variants"): " ",
+    ("inject", "shard_size"): "0",
+    ("inject", "accel"): "maybe",
+    ("inject", "ecc"): "golay",
+    ("inject", "upset"): "burst0x",
+    ("inject", "shards"): "3:1",
+    ("vuln", "uid"): "NOPE.nope",
+    ("vuln", "scheme"): "baseline",
+    ("vuln", "wcdl"): "0",
+    ("vuln", "variants"): " ",
+    ("vuln", "format"): "sarif",
+    ("lint", "uid"): "NOPE.nope",
+    ("lint", "scheme"): "baseline",
+    ("lint", "sb"): "0",
+    ("lint", "format"): "csv",
+    ("lint", "upset_model"): "burst0x",
+    ("sweep", "figures"): "fig99",
+    ("sweep", "benchmarks"): "NOPE.nope",
+    ("ecc", "codes"): "golay",
+    ("ecc", "structures"): "rob",
+    ("ecc", "patterns"): "burst0x",
+    ("ecc", "trials"): "0",
+    ("ecc", "format"): "sarif",
+}
+
+#: Parameters with no bad value argparse lets through.
+ANY_VALUE = {
+    ("inject", "seed"), ("inject", "snapshot_interval"),
+    ("lint", "all"), ("lint", "differential"), ("lint", "strict"),
+    ("sweep", "format"), ("ecc", "seed"), ("ecc", "pareto"),
+    ("ecc", "interleave"),
+}
+
+EXPOSED_PARAMS = [
+    (kind, param)
+    for kind, command in COMMANDS.items()
+    for param in command.params
+    if param.role == EXPOSED
+]
+
+
+def test_every_exposed_param_is_covered():
+    assert {(kind, p.key) for kind, p in EXPOSED_PARAMS} == set(BAD) | ANY_VALUE
+
+
+@pytest.mark.parametrize(
+    "kind,param",
+    [(kind, p) for kind, p in EXPOSED_PARAMS if (kind, p.key) in BAD],
+    ids=[f"{kind}.{p.key}" for kind, p in EXPOSED_PARAMS if (kind, p.key) in BAD],
+)
+def test_cli_and_service_reject_the_same_values(kind, param, capsys):
+    bad = BAD[kind, param.key]
+    if param.flag is None:
+        argv = [kind, bad]
+    else:
+        argv = [kind, *([UID] if kind in ("run", "lint", "vuln") else [])]
+        argv += [param.flag, bad]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own choices/type errors
+        code = exc.code
+    assert code == 2, argv
+    assert capsys.readouterr().out == ""
+
+    value: object = int(bad) if param.kwargs.get("type") is int else bad
+    if param.kwargs.get("nargs") == "*":
+        value = [bad]
+    base = {"uid": UID} if kind in ("run", "lint", "vuln") else {}
+    with pytest.raises(ValueError):
+        JobSpec.create(kind, {**base, param.key: value})

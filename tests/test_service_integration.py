@@ -4,8 +4,8 @@ the client CLI and :class:`ServiceClient`.
 The acceptance-critical properties live here:
 
 * service results are byte-for-byte identical to the direct CLI, for
-  ``run``, ``lint``, and ``inject`` (stdout *and* the exported
-  aggregate JSON);
+  all six job kinds (stdout, and for ``inject`` the exported aggregate
+  JSON);
 * duplicate submissions execute at most once;
 * SIGTERM drains the queue and exits 0;
 * kill -9 mid-campaign followed by a restart re-adopts the job and
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -145,6 +146,28 @@ def test_run_and_lint_parity_via_submit_cli(server, cache_dir):
         direct = _cli(env, *direct_argv, timeout=300)
         assert via_service.stdout == direct.stdout  # byte-for-byte
         assert via_service.stdout  # non-vacuous
+
+
+def test_vuln_ecc_sweep_parity_via_submit_cli(server, cache_dir):
+    """The other three job kinds, each submitted in the direct spelling.
+
+    ``sweep`` ends with a wall-clock line ("swept N figure(s) in 0.3s");
+    only that number is masked, every other byte must match.
+    """
+    env = _env(cache_dir)
+    journal = ["--journal", str(server.journal)]
+    elapsed = re.compile(rb"(?m)^(swept \d+ figure\(s\) in )\d+\.\ds")
+    for argv in (
+        ["vuln", "CPU2006.mcf"],
+        ["ecc", "--codes", "secded", "--structure", "sb", "--trials", "200"],
+        ["sweep", "table1", "fig18"],
+    ):
+        via_service = _cli(env, "submit", argv[0], *journal, *argv[1:], "--wait")
+        direct = _cli(env, *argv)
+        assert via_service.stdout  # non-vacuous
+        assert elapsed.sub(rb"\1<t>", via_service.stdout) == (
+            elapsed.sub(rb"\1<t>", direct.stdout)
+        )
 
 
 def test_inject_parity_and_dedup(server, tmp_path, cache_dir):

@@ -26,6 +26,30 @@ from repro.service.server import JobService, ServiceConfig
 UID = "CPU2006.gcc"
 UID2 = "SPLASH3.radix"
 
+#: (kind, submitted params, canonical argv, job_key with the source
+#: digest fixed to "golden-digest"), captured before the command table
+#: replaced the hand-written schemas: the canonical argv and dedup key of
+#: every existing spec are a contract.
+GOLDEN = [
+    ("run", {'uid': 'CPU2006.mcf'}, ["run", "CPU2006.mcf", "--wcdl", "10", "--sb", "4", "--scheme", "turnpike", "--backend", "fast"], "a88efafb1dc2e63ab288a5fa006a0d7c7c5eb6f0"),
+    ("run", {'uid': 'SPLASH3.radix', 'wcdl': 30, 'sb': 8, 'scheme': 'turnstile', 'backend': 'reference'}, ["run", "SPLASH3.radix", "--wcdl", "30", "--sb", "8", "--scheme", "turnstile", "--backend", "reference"], "f3fafbff74670f532a2dea49deb6b1e70468e41f"),
+    ("run", {'uid': 'CPU2006.mcf', 'scheme': 'baseline'}, ["run", "CPU2006.mcf", "--wcdl", "10", "--sb", "4", "--scheme", "baseline", "--backend", "fast"], "854c3a514854e3f49e2c1b47bc68a992945c90d9"),
+    ("inject", {}, ["inject", "SPLASH3.radix", "--count", "30", "--wcdl", "10", "--seed", "2024", "--targets", "register,store_buffer,clq,coloring", "--variants", "turnstile,warfree,turnpike,unsafe", "--shard-size", "8", "--workers", "1", "--accel", "on"], "c6f58458867b81cc1a34ad690b8d82696aea7291"),
+    ("inject", {'uid': 'CPU2006.mcf', 'count': 12, 'seed': 7}, ["inject", "CPU2006.mcf", "--count", "12", "--wcdl", "10", "--seed", "7", "--targets", "register,store_buffer,clq,coloring", "--variants", "turnstile,warfree,turnpike,unsafe", "--shard-size", "8", "--workers", "1", "--accel", "on"], "867ca580348915dc6f06c75d02192b824c01350e"),
+    ("inject", {'uid': 'CPU2006.mcf', 'count': 5, 'wcdl': 20, 'seed': 3, 'targets': 'register, clq', 'variants': 'turnpike,unsafe', 'shard_size': 2, 'accel': 'off', 'snapshot_interval': 0, 'ecc': 'secded', 'upset': 'adjacent-double', 'shards': '0:2', 'store_dir': '/srv/fabric'}, ["inject", "CPU2006.mcf", "--count", "5", "--wcdl", "20", "--seed", "3", "--targets", "register,clq", "--variants", "turnpike,unsafe", "--shard-size", "2", "--workers", "1", "--accel", "off", "--snapshot-interval", "0", "--ecc", "secded", "--upset", "adjacent-double", "--shards", "0:2"], "1545a8ea83ec03516ed1b3226622cf8a4e7653d2"),
+    ("lint", {'uid': 'CPU2006.mcf'}, ["lint", "CPU2006.mcf", "--scheme", "turnpike", "--sb", "4", "--format", "text", "--workers", "1", "--upset-model", "single"], "25f9f7f12cd699f476dc9586a62f94e7dd0e0010"),
+    ("lint", {'all': True}, ["lint", "--all", "--scheme", "turnpike", "--sb", "4", "--format", "text", "--workers", "1", "--upset-model", "single"], "698b39b22355bceba02a43f7228d68c8ea1b5fc8"),
+    ("lint", {'uid': 'CPU2006.mcf', 'scheme': 'turnstile', 'sb': 8, 'format': 'sarif', 'differential': False, 'strict': True, 'upset_model': 'adjacent-double'}, ["lint", "CPU2006.mcf", "--scheme", "turnstile", "--sb", "8", "--format", "sarif", "--workers", "1", "--upset-model", "adjacent-double", "--no-differential", "--strict"], "f89e8e6ccf569c6cd75b97a2a3ff445808e80f0c"),
+    ("lint", {'all': True, 'strict': True, 'format': 'json'}, ["lint", "--all", "--scheme", "turnpike", "--sb", "4", "--format", "json", "--workers", "1", "--upset-model", "single", "--strict"], "12909b7ed392de05a3502c1b3115c34dc7643773"),
+    ("vuln", {'uid': 'CPU2006.mcf'}, ["vuln", "CPU2006.mcf", "--scheme", "turnpike", "--wcdl", "10", "--variants", "turnstile,warfree,turnpike", "--format", "text"], "5fa109d3bee4faab32f43ca177b14ed934c53836"),
+    ("vuln", {'uid': 'CPU2006.mcf', 'scheme': 'turnstile', 'wcdl': 20, 'variants': 'turnpike', 'format': 'json'}, ["vuln", "CPU2006.mcf", "--scheme", "turnstile", "--wcdl", "20", "--variants", "turnpike", "--format", "json"], "c809f04cef8437ee03f025d64433f473289f84ff"),
+    ("sweep", {}, ["sweep", "--workers", "1"], "e4bde2209eab30fa09275f3f33c3396acbd8f0c2"),
+    ("sweep", {'figures': 'table1,fig18'}, ["sweep", "fig18", "table1", "--workers", "1"], "c487e129a95f83014da8b9f415441061800d68fb"),
+    ("sweep", {'figures': 'fig04,fig14_15', 'benchmarks': 'SPLASH3.radix,CPU2006.mcf', 'format': 'json'}, ["sweep", "fig04", "fig14_15", "--benchmarks", "CPU2006.mcf,SPLASH3.radix", "--workers", "1", "--json"], "5c2241fb63bcc696721a7ee139e54b90834e9dc0"),
+    ("ecc", {}, ["ecc", "--patterns", "single,adjacent-double,burst3", "--trials", "2000", "--seed", "0", "--format", "text"], "a5ef84d6569c0ea15681d54d84010c8e53cbf7a5"),
+    ("ecc", {'codes': 'secded,sec', 'structures': 'sb,clq', 'patterns': 'single,burst3', 'trials': 200, 'seed': 5, 'pareto': True, 'interleave': True, 'format': 'json'}, ["ecc", "--codes", "secded,sec", "--structure", "sb,clq", "--patterns", "single,burst3", "--trials", "200", "--seed", "5", "--pareto", "--interleave", "--format", "json"], "9a1e4dabc24a1683160edef08bc62c5b8526086b"),
+]
+
 
 def _job(client="a", priority=10, uid=UID, seed=None):
     spec = JobSpec.create(
@@ -87,19 +111,63 @@ class TestJobSpec:
             JobSpec.create("lint", {"uid": UID, "all": True})
         JobSpec.create("lint", {"all": True})  # ok
 
+    @pytest.mark.parametrize(
+        "kind,params,argv,key", GOLDEN,
+        ids=[f"{row[0]}{i}" for i, row in enumerate(GOLDEN)],
+    )
+    def test_golden_argv_and_key(self, monkeypatch, kind, params, argv, key):
+        monkeypatch.setattr("repro.service.jobs.code_digest", lambda: "golden-digest")
+        spec = JobSpec.create(kind, params)
+        assert spec.to_argv() == argv
+        assert job_key(spec) == key
+
     def test_argv_round_trips_through_cli_parser(self):
-        """Every canonical argv must parse under the real CLI parser."""
+        """spec -> canonical argv -> CLI parse -> spec is the identity for
+        every golden spec, both through the direct command and through
+        its ``submit`` spelling (which drops the pinned ``--workers 1``)."""
         from repro.__main__ import build_parser
+        from repro.commands import spec_from_args
 
         parser = build_parser()
-        for spec in (
-            JobSpec.create("run", {"uid": UID}),
-            JobSpec.create("inject", {"uid": UID2, "count": 3}),
-            JobSpec.create("lint", {"all": True, "strict": True}),
-            JobSpec.create("lint", {"uid": UID, "differential": False}),
-        ):
-            args = parser.parse_args(spec.to_argv())
-            assert args.command == spec.kind
+        for kind, params, _argv, _key in GOLDEN:
+            spec = JobSpec.create(kind, params)
+            argv = spec.to_argv()
+            direct = parser.parse_args(argv)
+            assert direct.command == kind
+            if "--workers" in argv:
+                at = argv.index("--workers")
+                argv = argv[:at] + argv[at + 2:]
+            submitted = parser.parse_args(["submit", *argv])
+            assert submitted.kind == kind
+            # store_dir is service-only: no CLI spelling carries it
+            extra = {k: v for k, v in params.items() if k == "store_dir"}
+            for args in (direct, submitted):
+                again = JobSpec.create(kind, {**spec_from_args(args, kind), **extra})
+                assert again == spec, (kind, params)
+
+    def test_sweep_figure_aliases_share_one_key(self):
+        keys = {
+            job_key(JobSpec.create("sweep", {"figures": figures}))
+            for figures in ("fig4,fig14", "fig04,fig14_15", "FIG15,fig4",
+                            ["fig04", "fig15"])
+        }
+        assert len(keys) == 1
+
+    def test_submit_takes_the_direct_spelling(self):
+        from repro.__main__ import build_parser
+        from repro.commands import spec_from_args
+
+        args = build_parser().parse_args(
+            ["submit", "sweep", "table1", "fig18", "--json", "--wait"]
+        )
+        assert spec_from_args(args, "sweep") == {
+            "figures": ["table1", "fig18"], "format": "json",
+        }
+        assert JobSpec.create("sweep", spec_from_args(args, "sweep")) == (
+            JobSpec.create("sweep", {"figures": "fig18,table1", "format": "json"})
+        )
+        bare = build_parser().parse_args(["submit", "lint", "--all"])
+        assert spec_from_args(bare, "lint") == {"all": True}
 
     def test_record_round_trip(self):
         job = _job()
