@@ -62,11 +62,6 @@ def _cmd_inject(args) -> int:
     if args.resume and args.manifest is None:
         print("--resume requires --manifest", file=sys.stderr)
         return 2
-    only_shards = None
-    if args.shards is not None:  # validated against the command table
-        from repro.commands import parse_shard_range
-
-        only_shards = set(range(*parse_shard_range(args.shards)))
 
     if args.snapshot_interval is None:
         accel = AccelOptions(enabled=args.accel == "on")
@@ -77,10 +72,10 @@ def _cmd_inject(args) -> int:
         )
     sampling = None
     if args.sample:
-        if args.resume or args.manifest or args.shards:
+        if args.resume or args.manifest:
             print(
                 "inject: --sample is adaptive and incompatible with "
-                "--resume/--manifest/--shards",
+                "--resume/--manifest",
                 file=sys.stderr,
             )
             return 2
@@ -107,7 +102,6 @@ def _cmd_inject(args) -> int:
             progress=lambda done, total: print(
                 f"  shard {done}/{total} done", file=sys.stderr
             ),
-            only_shards=only_shards,
             sampling=sampling,
         )
     except ValueError as exc:  # e.g. manifest/spec mismatch on --resume
@@ -562,12 +556,6 @@ def _cmd_result(args) -> int:
     return cmd_result(args)
 
 
-def _cmd_nodes(args) -> int:
-    from repro.service.client import cmd_nodes
-
-    return cmd_nodes(args)
-
-
 def _add_client_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--endpoint",
@@ -675,63 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign manifests; default REPRO_SERVICE_DIR or "
         "~/.cache/repro-turnpike/service)",
     )
-    serve_p.add_argument(
-        "--role",
-        choices=("local", "coordinator", "worker"),
-        default="local",
-        help="local: single-node server (default); coordinator: scatter "
-        "campaigns across worker nodes; worker: enroll with a coordinator",
-    )
-    serve_p.add_argument(
-        "--coordinator",
-        default=None,
-        metavar="HOST:PORT",
-        help="worker role: the coordinator's explicit endpoint",
-    )
-    serve_p.add_argument(
-        "--coordinator-journal",
-        default=None,
-        metavar="DIR",
-        help="worker role: discover (and follow) the coordinator via the "
-        "endpoint file in this journal directory",
-    )
-    serve_p.add_argument(
-        "--node-id",
-        default=None,
-        help="worker role: fabric identity (default: node-<pid>)",
-    )
-    serve_p.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=1.0,
-        help="worker role: seconds between heartbeats to the coordinator",
-    )
-    serve_p.add_argument(
-        "--node-timeout",
-        type=float,
-        default=10.0,
-        help="coordinator role: seconds without a heartbeat before a node "
-        "is declared dead and its leases re-dispatched",
-    )
-    serve_p.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=300.0,
-        help="coordinator role: hard per-lease deadline on one node",
-    )
-    serve_p.add_argument(
-        "--steal-after",
-        type=float,
-        default=60.0,
-        help="coordinator role: seconds before a straggling lease is "
-        "duplicated onto another node (work stealing)",
-    )
-    serve_p.add_argument(
-        "--lease-shards",
-        type=int,
-        default=1,
-        help="coordinator role: campaign shards per lease",
-    )
 
     submit_p = sub.add_parser(
         "submit", help="submit a job to a running service"
@@ -766,12 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_p.add_argument(
         "--mine", action="store_true", help="only this client's jobs"
     )
-
-    nodes_p = sub.add_parser(
-        "nodes", help="list a coordinator's registered worker nodes"
-    )
-    _add_client_flags(nodes_p)
-    nodes_p.add_argument("--json", action="store_true")
 
     result_p = sub.add_parser("result", help="fetch one job's output")
     _add_client_flags(result_p)
@@ -808,7 +733,6 @@ def main(argv: list[str] | None = None) -> int:
         "submit": _cmd_submit,
         "jobs": _cmd_jobs,
         "result": _cmd_result,
-        "nodes": _cmd_nodes,
     }
     return handlers[args.command](args)
 

@@ -30,7 +30,6 @@ from typing import Any
 EXPOSED = "exposed"  # a spec key: submit forwards it, the worker argv carries it
 PINNED = "pinned"  # fixed in the worker argv (the pool is the unit of concurrency)
 CLI_ONLY = "cli"  # direct command only (local files, adaptive modes)
-SERVICE_ONLY = "service"  # a spec key the service reads itself; never in argv
 
 Check = Callable[[Any], Any]
 
@@ -83,20 +82,6 @@ def _csv(value: Any) -> str:
     return ",".join(part.strip() for part in value.split(",") if part.strip())
 
 
-def _shard_range(value: Any) -> str:
-    """``"lo:hi"`` selecting shard ids ``[lo, hi)`` — a campaign lease."""
-    if isinstance(value, str):
-        lo, sep, hi = value.partition(":")
-        if sep and lo.isdigit() and hi.isdigit() and int(lo) < int(hi):
-            return f"{int(lo)}:{int(hi)}"
-    raise ValueError(f"expected a shard range 'lo:hi' with lo < hi, got {value!r}")
-
-
-def parse_shard_range(value: str) -> tuple[int, int]:
-    lo, _, hi = _shard_range(value).partition(":")
-    return int(lo), int(hi)
-
-
 #: Figure ids ``sweep`` accepts besides the suite's own names.
 _FIGURE_ALIASES = {"fig4": "fig04", "fig14": "fig14_15", "fig15": "fig14_15"}
 
@@ -128,12 +113,6 @@ def _uids(value: Any) -> str:
     for name in names:
         _uid(name)
     return ",".join(names)
-
-
-def _dir(value: Any) -> str:
-    if not isinstance(value, str) or not value.strip():
-        raise ValueError(f"expected a directory path, got {value!r}")
-    return value
 
 
 def _ecc_code(value: Any) -> str:
@@ -193,7 +172,7 @@ class Param:
     key: str  # spec key and argparse dest
     flag: str | None  # None: a positional
     default: Any = None
-    check: Check | None = None  # validator of exposed/service-only values
+    check: Check | None = None  # validator of exposed values
     role: str = EXPOSED
     required: bool = False  # the service demands a value
     pin: str | None = None  # the argv value of a pinned flag
@@ -230,7 +209,7 @@ def _param(
 ) -> Param:
     """Declare ``--flag`` or a positional; derives key and routine checks."""
     flag = spelling if spelling.startswith("-") else None
-    if check is None and role in (EXPOSED, SERVICE_ONLY):
+    if check is None and role == EXPOSED:
         if "choices" in kwargs:
             check = _choice(*kwargs["choices"])
         elif kwargs.get("action") in ("store_true", "store_false"):
@@ -259,7 +238,7 @@ class Command:
 
     @property
     def spec_params(self) -> tuple[Param, ...]:
-        return tuple(p for p in self.params if p.role in (EXPOSED, SERVICE_ONLY))
+        return tuple(p for p in self.params if p.role == EXPOSED)
 
 
 def _lint_check(spec: dict[str, Any]) -> None:
@@ -325,13 +304,6 @@ COMMANDS: dict[str, Command] = {
             _param("--upset", check=_upset, metavar="PATTERN",
                    help=f"multi-bit upset shape per strike ({_UPSETS}; "
                    "default: the historical single/double draw)"),
-            # Fabric plumbing: a coordinator decomposes a campaign into
-            # shard *leases* (the same spec restricted to a shard-id
-            # range) and points them all at one shared manifest store.
-            _param("--shards", check=_shard_range, metavar="LO:HI",
-                   help="run only shard ids [LO, HI) — a campaign lease; "
-                   "results checkpoint into --manifest for later "
-                   "merge/resume"),
             _cli("--manifest",
                  help="JSON manifest checkpointed after every shard "
                  "(enables resume)"),
@@ -353,9 +325,6 @@ COMMANDS: dict[str, Command] = {
             _cli("--token-rate", 8, type=int,
                  help="--sample: injections per masked stratum spent "
                  "cross-checking the static masked claim"),
-            # Where the service places the manifest (shared fabric store
-            # vs local journal); the executed campaign is identical.
-            _param("store_dir", check=_dir, role=SERVICE_ONLY),
         )),
         Command("vuln", "bit-level vulnerability analysis", (
             _param("uid", check=_uid, required=True, nargs="?"),
@@ -474,7 +443,7 @@ def add_parser(
         help=f"submit a {command.name} job" if submit else command.help,
     )
     for param in command.params:
-        if param.role == SERVICE_ONLY or (submit and param.role != EXPOSED):
+        if submit and param.role != EXPOSED:
             continue
         kwargs = dict(param.kwargs)
         kwargs["default"] = argparse.SUPPRESS if submit else param.default

@@ -563,7 +563,6 @@ class CampaignRunner:
         workers: int = 1,
         resume: bool = False,
         progress: Callable[[int, int], None] | None = None,
-        only_shards: "set[int] | None" = None,
     ) -> CampaignReport:
         """Run (or finish) the campaign and return its report.
 
@@ -572,32 +571,19 @@ class CampaignRunner:
         derived from ``(seed, index)`` and aggregation sorts by index.
         ``progress(done, total)`` is invoked after every shard.
 
-        ``only_shards`` restricts execution to a subset of shard ids —
-        the *lease* primitive of the distributed fabric: a worker node
-        computes its leased shards into a manifest, and whoever merges
-        the manifests (or resumes them) gets byte-identical aggregates
-        because shard contents depend only on ``(seed, index)``. The
-        returned report covers whatever the manifest then holds, which
-        for a lease run is deliberately partial.
-
         With sampling enabled the runner REPLACES index enumeration with
         the stratified adaptive estimator: no per-index records, no
         manifest, no resume — the report carries the AVF block instead.
         """
         if self.sampling.enabled:
-            if resume or only_shards is not None:
+            if resume:
                 raise ValueError(
-                    "sampled campaigns are adaptive: resume and shard "
-                    "leases only apply to enumerated index campaigns"
+                    "sampled campaigns are adaptive: resume only applies "
+                    "to enumerated index campaigns"
                 )
             return self._run_sampled(progress)
         manifest = self._load_manifest(resume)
         shards = self.spec.shards()
-        selected = (
-            set(range(len(shards)))
-            if only_shards is None
-            else {sid for sid in only_shards if 0 <= sid < len(shards)}
-        )
         pending = [
             {
                 "spec": self.spec.to_dict(),
@@ -606,9 +592,9 @@ class CampaignRunner:
                 "accel": self.accel.to_dict(),
             }
             for sid, indices in enumerate(shards)
-            if sid in selected and str(sid) not in manifest["shards"]
+            if str(sid) not in manifest["shards"]
         ]
-        done = len(selected) - len(pending)
+        done = len(shards) - len(pending)
 
         if pending and self.accel.enabled:
             # Pre-warm the compiled context and every variant's golden
@@ -627,7 +613,7 @@ class CampaignRunner:
             self._write_manifest(manifest)
             done += 1
             if progress is not None:
-                progress(done, len(selected))
+                progress(done, len(shards))
 
         if pending:
             if workers > 1:
@@ -746,7 +732,6 @@ def execute_campaign(
     resume: bool = False,
     export_path: str | Path | None = None,
     progress: Callable[[int, int], None] | None = None,
-    only_shards: "set[int] | None" = None,
     sampling: SamplingOptions | None = None,
 ) -> tuple[CampaignReport, str]:
     """Run one differential campaign end-to-end; the single entry point
@@ -760,10 +745,7 @@ def execute_campaign(
     runner = CampaignRunner(
         spec, manifest_path=manifest_path, accel=accel, sampling=sampling
     )
-    report = runner.run(
-        workers=workers, resume=resume, progress=progress,
-        only_shards=only_shards,
-    )
+    report = runner.run(workers=workers, resume=resume, progress=progress)
     if export_path is not None:
         from repro.harness.export import campaign_to_json
 

@@ -79,16 +79,6 @@ def code_digest() -> str:
     return _code_digest
 
 
-def sync_generation() -> int:
-    """Sync the default cache's generation marker; 0 when disabled.
-
-    Fabric worker nodes call this at startup so a node whose checkout
-    moved on prunes dead-generation artifacts before taking leases.
-    """
-    cache = ArtifactCache.default()
-    return cache.sync_generation() if cache is not None else 0
-
-
 def _key(*parts: object) -> str:
     text = "|".join([code_digest(), *[repr(p) for p in parts]])
     return hashlib.sha256(text.encode()).hexdigest()[:40]
@@ -329,9 +319,7 @@ class ArtifactCache:
         already *unreachable* — this reclaims their disk. A marker file
         records the digest the cache was last used with: on mismatch
         every artifact is pruned (they all belong to dead generations);
-        on first adoption the marker is written without pruning, since
-        a fabric node joining an existing shared cache must not wipe
-        artifacts a same-generation sibling is still using. Returns
+        on first adoption the marker is written without pruning. Returns
         the number of artifacts removed.
         """
         digest = code_digest()[:16]

@@ -295,35 +295,6 @@ def cmd_jobs(args: Any) -> int:
     return 0
 
 
-def cmd_nodes(args: Any) -> int:
-    """Handler for ``repro nodes``: list a coordinator's worker nodes."""
-    try:
-        client = _client_from_args(args)
-        payload = client.request("GET", "/nodes")
-    except (ServiceError, ValueError, ConnectionError, OSError) as exc:
-        print(f"nodes failed: {exc}", file=sys.stderr)
-        return 2
-    nodes = payload.get("nodes", [])
-    if args.json:
-        print(json.dumps({"nodes": nodes}, indent=2, sort_keys=True))
-        return 0
-    if not nodes:
-        print("no worker nodes registered", file=sys.stderr)
-        return 0
-    print(
-        f"{'node':<18} {'endpoint':<22} {'state':<8} {'workers':>7} "
-        f"{'in_flight':>9} {'age_s':>7}"
-    )
-    for node in nodes:
-        endpoint = f"{node.get('host', '?')}:{node.get('port', '?')}"
-        print(
-            f"{node.get('id', '?'):<18} {endpoint:<22} "
-            f"{node.get('state', '?'):<8} {node.get('workers', 0):>7} "
-            f"{node.get('in_flight', 0):>9} {node.get('age_s', 0.0):>7.1f}"
-        )
-    return 0
-
-
 def cmd_result(args: Any) -> int:
     try:
         client = _client_from_args(args)

@@ -54,7 +54,6 @@ from repro.service.scheduler import FairScheduler, QueueFull
 from repro.service.worker import WorkerPool
 
 PROTOCOL_VERSION = 1
-_MAX_BODY = transport.MAX_BODY
 
 
 class Draining(RuntimeError):
@@ -77,9 +76,6 @@ class ServiceConfig:
 
 
 class JobService:
-    #: Reported by ``/healthz``; fabric subclasses override.
-    role = "local"
-
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         self.journal = Journal(self.config.journal_dir or default_root())
@@ -309,15 +305,11 @@ class JobService:
 
     # -- dispatch / execution ---------------------------------------------
 
-    def _dispatch_capacity(self) -> int:
-        """Concurrent job slots. The coordinator adds remote capacity."""
-        return self.config.workers
-
     async def _dispatch_loop(self) -> None:
         while True:
             await self._wake.wait()
             self._wake.clear()
-            while self.in_flight < self._dispatch_capacity():
+            while self.in_flight < self.config.workers:
                 job = self.scheduler.pop()
                 if job is None:
                     break
@@ -355,18 +347,11 @@ class JobService:
         """
         argv = job.spec.to_argv()
         if job.spec.kind == "inject":
-            params = job.spec.as_dict()
-            store = params.get("store_dir")
-            manifest = (
-                Path(store) / f"{job.key}.json"
-                if store
-                else self.journal.manifest_path(job.key)
-            )
-            argv += ["--manifest", str(manifest), "--resume"]
-            # Shard leases are partial campaigns: their output is a
-            # manifest contribution, not an aggregate, so no export.
-            if params.get("shards") is None:
-                argv += ["--export", str(self.journal.export_path(job.key))]
+            argv += [
+                "--manifest", str(self.journal.manifest_path(job.key)),
+                "--resume",
+                "--export", str(self.journal.export_path(job.key)),
+            ]
         return argv
 
     async def _run_job(self, job: JobRecord) -> None:
@@ -457,13 +442,13 @@ class JobService:
         try:
             try:
                 method, path, body = await asyncio.wait_for(
-                    _read_request(reader), timeout=30.0
+                    transport.read_request(reader), timeout=30.0
                 )
             except (asyncio.TimeoutError, ValueError, asyncio.IncompleteReadError):
-                await _respond(writer, 400, {"error": "malformed request"})
+                await transport.respond(writer, 400, {"error": "malformed request"})
                 return
             status, payload = self._route(method, path, body)
-            await _respond(writer, status, payload)
+            await transport.respond(writer, status, payload)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -483,7 +468,6 @@ class JobService:
                 queue_depth=self.scheduler.depth,
                 in_flight=self.in_flight,
                 workers=self.config.workers,
-                fabric=self._fabric_snapshot(),
             )
         if method == "POST" and path == "/shutdown":
             self.begin_drain()
@@ -492,17 +476,13 @@ class JobService:
             return self._route_jobs(method, parts, query, body)
         return 404, {"error": f"no such endpoint {method} {path}"}
 
-    def _fabric_snapshot(self) -> dict | None:
-        """The ``/metrics`` ``fabric`` section; None off the fabric."""
-        return None
-
     def _healthz(self) -> dict:
         from repro import __version__
         from repro.harness.artifacts import code_digest
 
         return {
             "status": "draining" if self.draining else "ok",
-            "role": self.role,
+            "role": "local",
             "version": __version__,
             "protocol": PROTOCOL_VERSION,
             "code_digest": code_digest()[:16],
@@ -596,33 +576,9 @@ class JobService:
         }
 
 
-# -- minimal HTTP plumbing --------------------------------------------------
-# The implementation moved to repro.service.transport (every process in
-# the fabric speaks the same dialect); these aliases keep old imports
-# working.
-
-_read_request = transport.read_request
-_respond = transport.respond
-_STATUS_TEXT = transport.STATUS_TEXT
-
-
 def serve(args: Any) -> int:
-    """Handler for ``repro serve``: run the service until drained.
-
-    ``--role coordinator`` and ``--role worker`` delegate to the fabric
-    entry points; the default ``local`` role is the single-node server.
-    """
+    """Handler for ``repro serve``: run the service until drained."""
     import sys
-
-    role = getattr(args, "role", "local")
-    if role == "coordinator":
-        from repro.service.coordinator import serve_coordinator
-
-        return serve_coordinator(args)
-    if role == "worker":
-        from repro.service.node import serve_worker
-
-        return serve_worker(args)
 
     config = ServiceConfig(
         host=args.host,

@@ -1,5 +1,5 @@
 """Unit tests for the shared backoff policy: curve shape, jitter
-bounds, attempt/deadline budgets, and the retry_call driver."""
+bounds, attempt/deadline budgets, and the transport's retry loop."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from repro.service.backoff import Backoff, BackoffPolicy, retry_call
+from repro.service import transport
+from repro.service.backoff import Backoff, BackoffPolicy
 
 
 class TestPolicy:
@@ -60,65 +61,35 @@ class TestSchedule:
         assert schedule.next_delay() is None
 
 
-class TestRetryCall:
-    def test_retries_then_succeeds(self):
-        calls = []
-        sleeps = []
 
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "ok"
+class TestTransportCall:
+    """``transport.call`` retries transport failures on the policy's
+    schedule and surfaces the last one once the budget is spent."""
 
-        result = retry_call(
-            flaky,
-            BackoffPolicy(base=0.1, jitter=0.0, max_attempts=5),
-            sleep=sleeps.append,
-        )
-        assert result == "ok"
+    def _flaky(self, monkeypatch, failures):
+        calls, sleeps = [], []
+
+        def http_json(host, port, method, path, payload, timeout):
+            calls.append(path)
+            if len(calls) <= failures:
+                raise transport.Unreachable(host, port, OSError("down"))
+            return 200, {"ok": True}
+
+        monkeypatch.setattr(transport, "http_json", http_json)
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+        return calls, sleeps
+
+    def test_retries_then_succeeds(self, monkeypatch):
+        calls, sleeps = self._flaky(monkeypatch, failures=2)
+        policy = BackoffPolicy(base=0.1, jitter=0.0, max_attempts=5)
+        status, body = transport.call("h", 1, "GET", "/x", None, 1.0, policy)
+        assert (status, body) == (200, {"ok": True})
         assert len(calls) == 3
         assert sleeps == [0.1, 0.2]
 
-    def test_budget_exhaustion_raises_last_error(self):
-        def always():
-            raise OSError("still down")
-
-        with pytest.raises(OSError, match="still down"):
-            retry_call(
-                always,
-                BackoffPolicy(base=0.0, jitter=0.0, max_attempts=2),
-                sleep=lambda _d: None,
-            )
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        def boom():
-            calls.append(1)
-            raise ValueError("logic bug")
-
-        with pytest.raises(ValueError):
-            retry_call(
-                boom,
-                BackoffPolicy(max_attempts=5),
-                retry_on=(OSError,),
-                sleep=lambda _d: None,
-            )
-        assert len(calls) == 1
-
-    def test_on_retry_hook_sees_attempts(self):
-        seen = []
-
-        def flaky():
-            if len(seen) < 2:
-                raise OSError("x")
-            return 7
-
-        retry_call(
-            flaky,
-            BackoffPolicy(base=0.0, jitter=0.0, max_attempts=5),
-            sleep=lambda _d: None,
-            on_retry=lambda attempt, exc: seen.append(attempt),
-        )
-        assert seen == [1, 2]
+    def test_budget_exhaustion_raises_unreachable(self, monkeypatch):
+        calls, _sleeps = self._flaky(monkeypatch, failures=10)
+        policy = BackoffPolicy(base=0.0, jitter=0.0, max_attempts=2)
+        with pytest.raises(transport.Unreachable, match="down"):
+            transport.call("h", 1, "GET", "/x", None, 1.0, policy)
+        assert len(calls) == 3

@@ -33,7 +33,6 @@ BAD = {
     ("inject", "accel"): "maybe",
     ("inject", "ecc"): "golay",
     ("inject", "upset"): "burst0x",
-    ("inject", "shards"): "3:1",
     ("vuln", "uid"): "NOPE.nope",
     ("vuln", "scheme"): "baseline",
     ("vuln", "wcdl"): "0",
@@ -98,3 +97,34 @@ def test_cli_and_service_reject_the_same_values(kind, param, capsys):
     base = {"uid": UID} if kind in ("run", "lint", "vuln") else {}
     with pytest.raises(ValueError):
         JobSpec.create(kind, {**base, param.key: value})
+
+
+#: Spellings of the retired multi-node fabric and its shard leases: the
+#: CLI refuses each before doing any work, and no job spec carries them.
+RETIRED = [
+    ["serve", "--role", "worker"],
+    ["nodes"],
+    ["inject", "SPLASH3.radix", "--shards", "0:1"],
+    ["submit", "inject", "--shards", "0:1"],
+    {"shards": "0:1"},
+    {"store_dir": "/x"},
+]
+
+
+@pytest.mark.parametrize(
+    "spelling", RETIRED,
+    ids=[" ".join(s) if isinstance(s, list) else f"spec.{next(iter(s))}"
+         for s in RETIRED],
+)
+def test_retired_spellings_are_rejected(spelling, capsys):
+    if isinstance(spelling, dict):
+        (key,) = spelling
+        with pytest.raises(ValueError, match=f"unknown inject parameter.*{key}"):
+            JobSpec.create("inject", spelling)
+        return
+    try:
+        code = main(spelling)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""

@@ -18,7 +18,8 @@ The wall has three layers:
    ``run_lanes`` call, so the shared-decode grouping itself is
    exercised;
 3. the engine end-to-end: ``run_sweep`` against solo ``InOrderCore``
-   runs, including digest-level dedup and warm-cache resolution.
+   runs, including digest-level dedup, warm-cache resolution and the
+   process-pool path.
 
 Production timing (``simulate`` as well as ``run_sweep``) runs on the
 lane kernel, so ``InOrderCore`` is the independent reference here.
@@ -137,6 +138,29 @@ class TestEngineEndToEnd:
             trace = _trace(point.uid, point.compiler)
             ref = InOrderCore(point.core, point.hardware).run(trace)
             assert result[point] == ref, point
+
+    def test_process_pool_matches_serial(self, monkeypatch):
+        """``workers=2`` ships lane batches to ``_mp_run_batch`` in worker
+        processes; the stats must equal the in-process path's."""
+        import repro.harness.sweep as sweep_mod
+
+        # Workers resolve traces through GLOBAL_CACHE: keep its disk
+        # layer off in forked and freshly started children alike.
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        monkeypatch.setattr(sweep_mod.GLOBAL_CACHE, "persistent", None)
+        pairs = [
+            turnpike_scheme(),
+            turnstile_scheme(),
+            (_baseline_config(), ResilienceHardwareConfig.baseline()),
+        ]
+        points = lattice(QUICK_UIDS[:2], pairs)
+        plan = plan_sweep(points, RunCache(persistent=None))
+        assert len([b for b in plan.batches if b.lanes]) > 1  # pool path
+        serial = run_sweep(points, cache=RunCache(persistent=None), workers=1)
+        pooled = run_sweep(points, cache=RunCache(persistent=None), workers=2)
+        assert pooled == serial
+        for point in points:
+            assert pooled[point] == serial[point], point
 
     def test_digest_equal_configs_share_one_lane(self):
         uid = QUICK_UIDS[0]

@@ -3,7 +3,8 @@ keys, the fair scheduler's discipline, metrics, the crash-safe journal,
 and the asyncio server driven end-to-end over real sockets with a stub
 worker pool (no simulation work — these tests exercise queueing,
 backpressure, dedup, retry/backoff, per-job timeout, cancellation,
-re-adoption, and graceful drain, all in milliseconds)."""
+re-adoption, graceful drain and stale-endpoint takeover, all in
+milliseconds), plus the locked ``/metrics`` names."""
 
 from __future__ import annotations
 
@@ -11,12 +12,16 @@ import asyncio
 import concurrent.futures
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import BrokenExecutor
 
 import pytest
 
+from repro.service.client import StaleEndpointError, resolve_endpoint
 from repro.service.jobs import JobRecord, JobSpec, JobState, job_key
 from repro.service.journal import Journal
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
@@ -29,14 +34,17 @@ UID2 = "SPLASH3.radix"
 #: (kind, submitted params, canonical argv, job_key with the source
 #: digest fixed to "golden-digest"), captured before the command table
 #: replaced the hand-written schemas: the canonical argv and dedup key of
-#: every existing spec are a contract.
+#: every existing spec are a contract. The three inject keys were
+#: recomputed once, when the canonical inject spec lost its two
+#: always-null shard-lease fields (``shards``, ``store_dir``); their argv
+#: did not change.
 GOLDEN = [
     ("run", {'uid': 'CPU2006.mcf'}, ["run", "CPU2006.mcf", "--wcdl", "10", "--sb", "4", "--scheme", "turnpike", "--backend", "fast"], "a88efafb1dc2e63ab288a5fa006a0d7c7c5eb6f0"),
     ("run", {'uid': 'SPLASH3.radix', 'wcdl': 30, 'sb': 8, 'scheme': 'turnstile', 'backend': 'reference'}, ["run", "SPLASH3.radix", "--wcdl", "30", "--sb", "8", "--scheme", "turnstile", "--backend", "reference"], "f3fafbff74670f532a2dea49deb6b1e70468e41f"),
     ("run", {'uid': 'CPU2006.mcf', 'scheme': 'baseline'}, ["run", "CPU2006.mcf", "--wcdl", "10", "--sb", "4", "--scheme", "baseline", "--backend", "fast"], "854c3a514854e3f49e2c1b47bc68a992945c90d9"),
-    ("inject", {}, ["inject", "SPLASH3.radix", "--count", "30", "--wcdl", "10", "--seed", "2024", "--targets", "register,store_buffer,clq,coloring", "--variants", "turnstile,warfree,turnpike,unsafe", "--shard-size", "8", "--workers", "1", "--accel", "on"], "c6f58458867b81cc1a34ad690b8d82696aea7291"),
-    ("inject", {'uid': 'CPU2006.mcf', 'count': 12, 'seed': 7}, ["inject", "CPU2006.mcf", "--count", "12", "--wcdl", "10", "--seed", "7", "--targets", "register,store_buffer,clq,coloring", "--variants", "turnstile,warfree,turnpike,unsafe", "--shard-size", "8", "--workers", "1", "--accel", "on"], "867ca580348915dc6f06c75d02192b824c01350e"),
-    ("inject", {'uid': 'CPU2006.mcf', 'count': 5, 'wcdl': 20, 'seed': 3, 'targets': 'register, clq', 'variants': 'turnpike,unsafe', 'shard_size': 2, 'accel': 'off', 'snapshot_interval': 0, 'ecc': 'secded', 'upset': 'adjacent-double', 'shards': '0:2', 'store_dir': '/srv/fabric'}, ["inject", "CPU2006.mcf", "--count", "5", "--wcdl", "20", "--seed", "3", "--targets", "register,clq", "--variants", "turnpike,unsafe", "--shard-size", "2", "--workers", "1", "--accel", "off", "--snapshot-interval", "0", "--ecc", "secded", "--upset", "adjacent-double", "--shards", "0:2"], "1545a8ea83ec03516ed1b3226622cf8a4e7653d2"),
+    ("inject", {}, ["inject", "SPLASH3.radix", "--count", "30", "--wcdl", "10", "--seed", "2024", "--targets", "register,store_buffer,clq,coloring", "--variants", "turnstile,warfree,turnpike,unsafe", "--shard-size", "8", "--workers", "1", "--accel", "on"], "8c8bc6045de17c52f48cedbcfd44a26004dc3f1e"),
+    ("inject", {'uid': 'CPU2006.mcf', 'count': 12, 'seed': 7}, ["inject", "CPU2006.mcf", "--count", "12", "--wcdl", "10", "--seed", "7", "--targets", "register,store_buffer,clq,coloring", "--variants", "turnstile,warfree,turnpike,unsafe", "--shard-size", "8", "--workers", "1", "--accel", "on"], "875889007c0146d50f5a35ee2e9b78f799272658"),
+    ("inject", {'uid': 'CPU2006.mcf', 'count': 5, 'wcdl': 20, 'seed': 3, 'targets': 'register, clq', 'variants': 'turnpike,unsafe', 'shard_size': 2, 'accel': 'off', 'snapshot_interval': 0, 'ecc': 'secded', 'upset': 'adjacent-double'}, ["inject", "CPU2006.mcf", "--count", "5", "--wcdl", "20", "--seed", "3", "--targets", "register,clq", "--variants", "turnpike,unsafe", "--shard-size", "2", "--workers", "1", "--accel", "off", "--snapshot-interval", "0", "--ecc", "secded", "--upset", "adjacent-double"], "0f7a6a800141e8b72b0fbb9a4eac97db17abe0f2"),
     ("lint", {'uid': 'CPU2006.mcf'}, ["lint", "CPU2006.mcf", "--scheme", "turnpike", "--sb", "4", "--format", "text", "--workers", "1", "--upset-model", "single"], "25f9f7f12cd699f476dc9586a62f94e7dd0e0010"),
     ("lint", {'all': True}, ["lint", "--all", "--scheme", "turnpike", "--sb", "4", "--format", "text", "--workers", "1", "--upset-model", "single"], "698b39b22355bceba02a43f7228d68c8ea1b5fc8"),
     ("lint", {'uid': 'CPU2006.mcf', 'scheme': 'turnstile', 'sb': 8, 'format': 'sarif', 'differential': False, 'strict': True, 'upset_model': 'adjacent-double'}, ["lint", "CPU2006.mcf", "--scheme", "turnstile", "--sb", "8", "--format", "sarif", "--workers", "1", "--upset-model", "adjacent-double", "--no-differential", "--strict"], "f89e8e6ccf569c6cd75b97a2a3ff445808e80f0c"),
@@ -139,10 +147,8 @@ class TestJobSpec:
                 argv = argv[:at] + argv[at + 2:]
             submitted = parser.parse_args(["submit", *argv])
             assert submitted.kind == kind
-            # store_dir is service-only: no CLI spelling carries it
-            extra = {k: v for k, v in params.items() if k == "store_dir"}
             for args in (direct, submitted):
-                again = JobSpec.create(kind, {**spec_from_args(args, kind), **extra})
+                again = JobSpec.create(kind, spec_from_args(args, kind))
                 assert again == spec, (kind, params)
 
     def test_sweep_figure_aliases_share_one_key(self):
@@ -228,6 +234,18 @@ class TestFairScheduler:
         assert sched.depth == 0
 
 
+#: The ``/metrics`` names, top level and ``jobs`` section.
+METRICS_KEYS = {
+    "uptime_s", "queue_depth", "in_flight", "workers", "worker_restarts",
+    "jobs", "dedup", "latency",
+}
+METRICS_JOB_KEYS = {
+    "submitted", "accepted", "rejected_backpressure", "deduped_in_flight",
+    "deduped_cached", "readopted", "completed", "failed", "cancelled",
+    "timeout", "retries",
+}
+
+
 class TestMetrics:
     def test_histogram_buckets(self):
         hist = LatencyHistogram()
@@ -252,6 +270,40 @@ class TestMetrics:
         assert snap["latency"]["exec"]["run"]["count"] == 1
         # deterministic key order for diffable output
         assert json.dumps(snap, sort_keys=True)
+
+    def test_snapshot_key_set_is_locked(self):
+        """Dashboards and the CI metrics gate key on these exact names —
+        renaming, adding or dropping one is a reviewed change here."""
+        metrics = ServiceMetrics()
+        metrics.observe_exec("run", 0.1)
+        snap = metrics.snapshot(queue_depth=0, in_flight=0, workers=2)
+        assert set(snap) == METRICS_KEYS
+        assert set(snap["jobs"]) == METRICS_JOB_KEYS
+        assert set(snap["dedup"]) == {"hits", "hit_ratio"}
+        assert set(snap["latency"]) == {"queue_wait", "exec"}
+        assert set(snap["latency"]["queue_wait"]) == {"count", "sum_s", "buckets"}
+        assert set(snap["latency"]["exec"]["run"]) == {"count", "sum_s", "buckets"}
+
+    def test_local_service_has_no_fabric_section(self, tmp_path):
+        async def scenario():
+            config = ServiceConfig(
+                journal_dir=tmp_path / "journal",
+                install_signal_handlers=False,
+                pool_factory=lambda workers: StubPool(workers),
+            )
+            service = JobService(config)
+            await service.start()
+            try:
+                status, snap = await http(service, "GET", "/metrics")
+                assert "fabric" not in snap
+                status, health = await http(service, "GET", "/healthz")
+                assert health["role"] == "local"
+            finally:
+                service.begin_drain()
+                await asyncio.wait_for(service._stopped.wait(), 5.0)
+                await service._shutdown()
+
+        asyncio.run(scenario())
 
 
 class TestJournal:
@@ -642,3 +694,69 @@ class TestServiceEndToEnd:
                 assert pool2.executed == []
 
         asyncio.run(scenario())
+
+
+# -- stale endpoint takeover -------------------------------------------------
+
+
+class TestStaleEndpoint:
+    def _dead_pid(self):
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()
+        return proc.pid
+
+    def test_successor_replaces_stale_endpoint(self, tmp_path):
+        async def scenario():
+            root = tmp_path / "journal"
+            Journal(root).write_endpoint(
+                "127.0.0.1", 59999, pid=self._dead_pid()
+            )
+            config = ServiceConfig(
+                journal_dir=root,
+                install_signal_handlers=False,
+                pool_factory=lambda workers: StubPool(workers),
+            )
+            service = JobService(config)
+            await service.start()
+            try:
+                assert (
+                    service.metrics.counters["stale_endpoint_replaced"] == 1
+                )
+                journal = Journal(root)
+                assert journal.endpoint_status() == "live"
+                assert journal.read_endpoint() == service.address
+            finally:
+                service.begin_drain()
+                await asyncio.wait_for(service._stopped.wait(), 5.0)
+                await service._shutdown()
+
+        asyncio.run(scenario())
+
+    def test_refuses_to_usurp_live_server(self, tmp_path):
+        async def scenario():
+            root = tmp_path / "journal"
+            # A *live* foreign PID owns the endpoint (use our own parent).
+            Journal(root).write_endpoint(
+                "127.0.0.1", 59999, pid=os.getppid()
+            )
+            service = JobService(
+                ServiceConfig(
+                    journal_dir=root,
+                    install_signal_handlers=False,
+                    pool_factory=lambda workers: StubPool(workers),
+                )
+            )
+            with pytest.raises(RuntimeError, match="already served"):
+                await service.start()
+
+        asyncio.run(scenario())
+
+    def test_client_reports_stale_endpoint(self, tmp_path):
+        root = tmp_path / "journal"
+        Journal(root).write_endpoint("127.0.0.1", 59999, pid=self._dead_pid())
+        with pytest.raises(StaleEndpointError, match="stale endpoint"):
+            resolve_endpoint(journal_dir=str(root))
+
+    def test_absent_endpoint_still_plain_error(self, tmp_path):
+        with pytest.raises(ValueError, match="no service endpoint"):
+            resolve_endpoint(journal_dir=str(tmp_path / "nowhere"))

@@ -189,8 +189,6 @@ class TestSampledCampaign:
         runner = CampaignRunner(spec, sampling=SamplingOptions(enabled=True))
         with pytest.raises(ValueError, match="adaptive"):
             runner.run(resume=True)
-        with pytest.raises(ValueError, match="adaptive"):
-            runner.run(only_shards={0})
 
     def test_enumerated_campaign_has_no_avf_key(self):
         # Byte-stability contract: with sampling disabled the aggregate
