@@ -29,7 +29,6 @@ def _cmd_run(args) -> int:
             scheme=args.scheme,
             wcdl=args.wcdl,
             sb_size=args.sb,
-            backend=args.backend,
         )
     )
     return 0
@@ -180,75 +179,16 @@ def _cmd_lint(args) -> int:
     return run_lint(args)
 
 
-def _shared_figures() -> dict:
-    """The figures ``figure`` and ``sweep`` print alike.
-
-    Suite id -> (the experiments driver ``figure`` calls, text renderer).
-    """
-    from repro.harness import experiments as exp
-    from repro.harness import reporting as rep
-
-    return {
-        "fig04": (exp.fig04_checkpoint_ratio, lambda r: rep.format_series_table(
-            [r[40], r[4]], value_format="{:.3f}", aggregate="mean",
-            title="Figure 4 - checkpoint ratio vs SB size")),
-        "fig18": (exp.fig18_sensor_latency, lambda r: "\n".join(
-            f"{clock} GHz: " + "  ".join(
-                f"{n}->{lat:.1f}cy" for n, lat in points)
-            for clock, points in r.items())),
-        "fig19": (exp.fig19_turnpike_wcdl, lambda r: rep.format_series_table(
-            [r[w] for w in sorted(r)],
-            title="Figure 19 - Turnpike overhead vs WCDL")),
-        "fig20": (exp.fig20_turnstile_wcdl, lambda r: rep.format_series_table(
-            [r[w] for w in sorted(r)],
-            title="Figure 20 - Turnstile overhead vs WCDL")),
-        "fig21": (exp.fig21_ablation, lambda r: rep.format_series_table(
-            r, title="Figure 21 - optimization ablation")),
-        "fig22": (exp.fig22_sb_sensitivity, lambda r: rep.format_series_table(
-            [r["turnstile"][s] for s in sorted(r["turnstile"])]
-            + [r["turnpike"][s] for s in sorted(r["turnpike"])],
-            title="Figure 22 - SB sensitivity")),
-        "fig24": (exp.fig24_clq_occupancy, lambda r: rep.format_mapping_table(
-            r, headers=("average", "maximum"),
-            title="Figure 24 - CLQ occupancy")),
-        "fig26": (exp.fig26_region_codesize, lambda r: rep.format_mapping_table(
-            {k: (v[0], 100 * v[1]) for k, v in r.items()},
-            headers=("region size", "growth %"),
-            title="Figure 26 - region size / code growth")),
-        "table1": (exp.table1_hw_cost, rep.format_table1),
-    }
-
-
 def _cmd_figure(args) -> int:
-    from repro.harness import experiments as exp
-    from repro.harness import reporting as rep
+    from repro.harness.experiments import FIGURE_ALIASES, FIGURES
 
     fid = args.id.lower()
-    fid = "fig04" if fid == "fig4" else fid
-    shared = _shared_figures()
-    if fid in shared:
-        driver, render = shared[fid]
-        print(render(driver()))
-    elif fid in ("fig14", "fig15"):
-        result = exp.fig14_fig15_clq_designs()
-        key = "overhead" if fid == "fig14" else "warfree_ratio"
-        print(rep.format_series_table(
-            [result[key]["ideal"], result[key]["compact"]],
-            value_format="{:.3f}",
-            title=f"Figure {fid[3:]} - ideal vs compact CLQ"))
-    elif fid == "fig23":
-        breakdown = exp.fig23_store_breakdown()
-        print(rep.format_breakdown_table(breakdown))
-        means = exp.breakdown_means(breakdown)
-        print("means:", "  ".join(f"{k}={100 * v:.1f}%" for k, v in means.items()))
-    elif fid == "fig25":
-        result = exp.fig25_clq_size()
-        print(rep.format_series_table(
-            [result[2], result[4]], value_format="{:.3f}",
-            title="Figure 25 - CLQ-2 vs CLQ-4"))
-    else:
+    figure = FIGURES.get(FIGURE_ALIASES.get(fid, fid))
+    if figure is None:
         print(f"unknown figure id {args.id!r}", file=sys.stderr)
         return 2
+    render = figure.views.get(fid, figure.text)
+    print(render(figure.run(None, None, None)))
     return 0
 
 
@@ -351,7 +291,6 @@ def _cmd_sweep(args) -> int:
 
     from repro.commands import canonical_figures
     from repro.harness import experiments as exp
-    from repro.harness import reporting as rep
     from repro.harness.runner import resolve_workers
 
     if args.ecc_codes:
@@ -377,27 +316,8 @@ def _cmd_sweep(args) -> int:
         payload["elapsed_seconds"] = round(elapsed, 3)
         print(_json.dumps(payload, indent=2, sort_keys=True, default=str))
         return 0
-    renderers = {
-        name: render for name, (_driver, render) in _shared_figures().items()
-    }
-    renderers.update({
-        "fig14_15": lambda r: "\n".join((
-            rep.format_series_table(
-                [r["overhead"]["ideal"], r["overhead"]["compact"]],
-                value_format="{:.3f}",
-                title="Figure 14 - ideal vs compact CLQ overhead"),
-            rep.format_series_table(
-                [r["warfree_ratio"]["ideal"], r["warfree_ratio"]["compact"]],
-                value_format="{:.3f}",
-                title="Figure 15 - WAR-free release ratio"),
-        )),
-        "fig23": rep.format_breakdown_table,
-        "fig25": lambda r: rep.format_series_table(
-            [r[s] for s in sorted(r)], value_format="{:.3f}",
-            title="Figure 25 - CLQ size sensitivity"),
-    })
     for name, result in results.items():
-        print(renderers[name](result))
+        print(exp.FIGURES[name].text(result))
         print()
     print(
         f"swept {len(results)} figure(s) in {elapsed:.1f}s "
@@ -497,14 +417,25 @@ def _cmd_cache(args) -> int:
             f"{cache.root} (generation {cache.info()['code_digest']})"
         )
     elif args.action == "warm":
-        from repro.harness.runner import resolve_workers, warm_suite
+        from repro.harness.runner import (
+            RunCache,
+            default_benchmarks,
+            default_schemes,
+            resolve_workers,
+        )
+        from repro.harness.sweep import lattice, run_sweep
 
         workers = resolve_workers(args.workers)
         print(
             f"warming benchmark x scheme matrix with {workers} worker(s)...",
             file=sys.stderr,
         )
-        results = warm_suite(workers=workers)
+        points = lattice(
+            default_benchmarks(), [(c, h) for _, c, h in default_schemes()]
+        )
+        results = run_sweep(
+            points, cache=RunCache(persistent=cache), workers=workers
+        )
         info = cache.info()
         print(
             f"warmed {len(results)} (benchmark, scheme) pairs; cache now "

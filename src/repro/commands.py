@@ -82,20 +82,16 @@ def _csv(value: Any) -> str:
     return ",".join(part.strip() for part in value.split(",") if part.strip())
 
 
-#: Figure ids ``sweep`` accepts besides the suite's own names.
-_FIGURE_ALIASES = {"fig4": "fig04", "fig14": "fig14_15", "fig15": "fig14_15"}
-
-
 def canonical_figures(value: Any) -> str | None:
     """Figure ids (a list or comma-separated), canonicalised to suite order."""
-    from repro.harness.experiments import FIGURE_SUITE
+    from repro.harness.experiments import FIGURE_ALIASES, FIGURE_SUITE
 
     if isinstance(value, list):
         if not value:
             return None
         value = ",".join(value)
     names = {
-        _FIGURE_ALIASES.get(name.lower(), name.lower())
+        FIGURE_ALIASES.get(name.lower(), name.lower())
         for name in _csv(value).split(",")
     }
     unknown = sorted(names - set(FIGURE_SUITE))
@@ -271,9 +267,6 @@ COMMANDS: dict[str, Command] = {
             _param("--sb", 4, _int(1), type=int),
             _param("--scheme", "turnpike",
                    choices=("turnpike", "turnstile", "baseline")),
-            _param("--backend", "fast", choices=("fast", "reference"),
-                   help="functional simulation backend (fast: compiled "
-                   "basic-block replay; reference: the golden interpreter)"),
         )),
         Command("inject", "fault-injection campaign", (
             _param("uid", "SPLASH3.radix", _uid, nargs="?"),

@@ -2,8 +2,8 @@
 
 One function per table/figure of the paper's evaluation (Section 6).
 Every driver takes an optional benchmark list (defaulting to all 36) and
-returns plain data structures that the benches print and the tests
-assert against; nothing here touches matplotlib — the "figures" are the
+returns plain data; :data:`FIGURES` declares each figure once (driver,
+lattice, text). Nothing here touches matplotlib — the "figures" are the
 numeric series the plots would show.
 
 Every timing figure declares its design-point lattice and evaluates it
@@ -16,9 +16,11 @@ lanes per committed stream, each lane byte-identical to a solo
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
+from typing import Any
 
-from repro.arch.config import CoreConfig, ResilienceHardwareConfig
+from repro.arch.config import ResilienceHardwareConfig
 from repro.arch.stats import SimStats
 from repro.compiler.config import (
     CompilerConfig,
@@ -26,10 +28,16 @@ from repro.compiler.config import (
     turnpike_config,
     turnstile_config,
 )
+from repro.harness.reporting import (
+    format_breakdown_table,
+    format_mapping_table,
+    format_series_table,
+    format_table1,
+)
 from repro.harness.runner import (
     GLOBAL_CACHE,
     RunCache,
-    _baseline_config,
+    baseline_scheme,
     default_benchmarks,
     geomean,
 )
@@ -65,10 +73,6 @@ def _sorted_uids(benchmarks: list[str] | None) -> list[str]:
     return sorted(benchmarks) if benchmarks else sorted(default_benchmarks())
 
 
-def _baseline_pair() -> SchemePair:
-    return (_baseline_config(), ResilienceHardwareConfig.baseline())
-
-
 def _prepared(cache: RunCache, uid: str, config: CompilerConfig):
     """Functional products, shared across digest-equal configs."""
     return cache.prepared_by_digest(
@@ -84,7 +88,7 @@ def _evaluate(
     normalize: bool = True,
 ) -> dict[DesignPoint, SimStats]:
     """Evaluate a lattice (plus the shared baseline point) in one sweep."""
-    all_pairs = [*pairs, _baseline_pair()] if normalize else pairs
+    all_pairs = [*pairs, baseline_scheme()] if normalize else pairs
     return run_sweep(lattice(uids, all_pairs), cache=cache, workers=workers)
 
 
@@ -93,7 +97,7 @@ def _norm(
 ) -> float:
     """The paper's y-axis: resilient cycles / baseline cycles."""
     stats = result[DesignPoint(uid, pair[0], pair[1])]
-    base_c, base_h = _baseline_pair()
+    base_c, base_h = baseline_scheme()
     return stats.cycles / result[DesignPoint(uid, base_c, base_h)].cycles
 
 
@@ -551,13 +555,145 @@ def table1_hw_cost() -> Table1:
 
 
 # ---------------------------------------------------------------------------
-# The whole figure suite (the `repro sweep` CLI entry)
+# The figure suite: one entry per figure, in presentation order
 # ---------------------------------------------------------------------------
 
-FIGURE_SUITE = (
-    "fig04", "fig14_15", "fig18", "fig19", "fig20", "fig21", "fig22",
-    "fig23", "fig24", "fig25", "fig26", "table1",
-)
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure (or table) of the suite, declared once.
+
+    ``run(benchmarks, cache, workers)`` computes it; ``pairs()`` is its
+    timing lattice (the figure's share of :func:`suite_pairs`); ``text``
+    renders it for ``repro sweep`` and ``repro figure``, except for the
+    ``repro figure`` ids that name one of ``views``.
+    """
+
+    run: Callable[[list[str] | None, RunCache | None, int | None], Any]
+    text: Callable[[Any], str]
+    pairs: Callable[[], list[SchemePair]] = list  # no timing lattice
+    views: Mapping[str, Callable[[Any], str]] = field(default_factory=dict)
+
+
+def _timing(driver: Callable[..., Any]) -> Callable[..., Any]:
+    """``Figure.run`` for a driver taking ``(benchmarks, cache=, workers=)``."""
+    return lambda b, cache, workers: driver(b, cache=cache, workers=workers)
+
+
+def _clq_table(result: dict[str, dict[str, Series]], key: str,
+               title: str) -> str:
+    return format_series_table(
+        [result[key]["ideal"], result[key]["compact"]],
+        value_format="{:.3f}", title=title)
+
+
+def _fig23_view(breakdown: dict[str, dict[str, float]]) -> str:
+    means = breakdown_means(breakdown)
+    return "\n".join((
+        format_breakdown_table(breakdown),
+        "means: " + "  ".join(f"{k}={100 * v:.1f}%" for k, v in means.items()),
+    ))
+
+
+FIGURES: dict[str, Figure] = {
+    "fig04": Figure(
+        run=lambda b, cache, workers: fig04_checkpoint_ratio(b, cache=cache),
+        text=lambda r: format_series_table(
+            [r[40], r[4]], value_format="{:.3f}", aggregate="mean",
+            title="Figure 4 - checkpoint ratio vs SB size"),
+    ),
+    "fig14_15": Figure(
+        run=_timing(fig14_fig15_clq_designs),
+        pairs=lambda: list(_fig14_15_pairs().values()),
+        text=lambda r: "\n".join((
+            _clq_table(r, "overhead",
+                       "Figure 14 - ideal vs compact CLQ overhead"),
+            _clq_table(r, "warfree_ratio",
+                       "Figure 15 - WAR-free release ratio"),
+        )),
+        views={
+            "fig14": lambda r: _clq_table(
+                r, "overhead", "Figure 14 - ideal vs compact CLQ"),
+            "fig15": lambda r: _clq_table(
+                r, "warfree_ratio", "Figure 15 - ideal vs compact CLQ"),
+        },
+    ),
+    "fig18": Figure(
+        run=lambda *_: fig18_sensor_latency(),
+        text=lambda r: "\n".join(
+            f"{clock} GHz: " + "  ".join(
+                f"{n}->{lat:.1f}cy" for n, lat in points)
+            for clock, points in r.items()),
+    ),
+    "fig19": Figure(
+        run=_timing(fig19_turnpike_wcdl),
+        pairs=lambda: list(_fig19_pairs().values()),
+        text=lambda r: format_series_table(
+            [r[w] for w in sorted(r)],
+            title="Figure 19 - Turnpike overhead vs WCDL"),
+    ),
+    "fig20": Figure(
+        run=_timing(fig20_turnstile_wcdl),
+        pairs=lambda: list(_fig20_pairs().values()),
+        text=lambda r: format_series_table(
+            [r[w] for w in sorted(r)],
+            title="Figure 20 - Turnstile overhead vs WCDL"),
+    ),
+    "fig21": Figure(
+        run=_timing(fig21_ablation),
+        pairs=lambda: [pair for _, pair in _fig21_rows()],
+        text=lambda r: format_series_table(
+            r, title="Figure 21 - optimization ablation"),
+    ),
+    "fig22": Figure(
+        run=_timing(fig22_sb_sensitivity),
+        pairs=lambda: [pair for _, _, pair in _fig22_schemes()],
+        text=lambda r: format_series_table(
+            [r["turnstile"][s] for s in sorted(r["turnstile"])]
+            + [r["turnpike"][s] for s in sorted(r["turnpike"])],
+            title="Figure 22 - SB sensitivity"),
+    ),
+    "fig23": Figure(
+        run=_timing(fig23_store_breakdown),
+        pairs=lambda: [_fig23_pair()],
+        text=format_breakdown_table,
+        views={"fig23": _fig23_view},
+    ),
+    "fig24": Figure(
+        run=_timing(fig24_clq_occupancy),
+        pairs=lambda: [_fig24_pair()],
+        text=lambda r: format_mapping_table(
+            r, headers=("average", "maximum"),
+            title="Figure 24 - CLQ occupancy"),
+    ),
+    "fig25": Figure(
+        run=_timing(fig25_clq_size),
+        pairs=lambda: list(_fig25_pairs().values()),
+        text=lambda r: format_series_table(
+            [r[s] for s in sorted(r)], value_format="{:.3f}",
+            title="Figure 25 - CLQ size sensitivity"),
+        views={"fig25": lambda r: format_series_table(
+            [r[2], r[4]], value_format="{:.3f}",
+            title="Figure 25 - CLQ-2 vs CLQ-4")},
+    ),
+    "fig26": Figure(
+        run=_timing(fig26_region_codesize),
+        pairs=lambda: [_fig26_pair()],
+        text=lambda r: format_mapping_table(
+            {k: (v[0], 100 * v[1]) for k, v in r.items()},
+            headers=("region size", "growth %"),
+            title="Figure 26 - region size / code growth"),
+    ),
+    "table1": Figure(
+        run=lambda *_: table1_hw_cost(),
+        text=format_table1,
+    ),
+}
+
+FIGURE_SUITE = tuple(FIGURES)
+
+#: Figure ids ``figure`` and ``sweep`` accept besides the suite's own.
+FIGURE_ALIASES = {"fig4": "fig04", "fig14": "fig14_15", "fig15": "fig14_15"}
 
 
 def suite_pairs(
@@ -571,35 +707,12 @@ def suite_pairs(
     grouping), after which every figure driver resolves its points from
     the warm cache. Includes the shared baseline normalization point.
     """
-    wanted = set(figures or FIGURE_SUITE)
-    pairs: list[SchemePair] = []
-    if "fig14_15" in wanted:
-        pairs += _fig14_15_pairs().values()
-    if "fig19" in wanted:
-        pairs += _fig19_pairs().values()
-    if "fig20" in wanted:
-        pairs += _fig20_pairs().values()
-    if "fig21" in wanted:
-        pairs += [pair for _, pair in _fig21_rows()]
-    if "fig22" in wanted:
-        pairs += [pair for _, _, pair in _fig22_schemes()]
-    if "fig23" in wanted:
-        pairs.append(_fig23_pair())
-    if "fig24" in wanted:
-        pairs.append(_fig24_pair())
-    if "fig25" in wanted:
-        pairs += _fig25_pairs().values()
-    if "fig26" in wanted:
-        pairs.append(_fig26_pair())
+    wanted = set(figures or FIGURES)
+    pairs = [pair for name, figure in FIGURES.items() if name in wanted
+             for pair in figure.pairs()]
     if pairs:
-        pairs.append(_baseline_pair())
-    uniq: list[SchemePair] = []
-    seen: set[SchemePair] = set()
-    for pair in pairs:
-        if pair not in seen:
-            seen.add(pair)
-            uniq.append(pair)
-    return uniq
+        pairs.append(baseline_scheme())
+    return list(dict.fromkeys(pairs))
 
 
 def suite_summary_configs(
@@ -626,12 +739,12 @@ def figure_suite(
     turnpike scheme, digest-equal configs) are evaluated exactly once.
     """
     cache = _resolve_cache(cache)
-    wanted = figures or FIGURE_SUITE
-    unknown = sorted(set(wanted) - set(FIGURE_SUITE))
+    wanted = figures or tuple(FIGURES)
+    unknown = sorted(set(wanted) - set(FIGURES))
     if unknown:
         raise ValueError(
             f"unknown figure(s) {', '.join(unknown)}; "
-            f"choose from {', '.join(FIGURE_SUITE)}"
+            f"choose from {', '.join(FIGURES)}"
         )
     # One-big-sweep prefetch: evaluate the union lattice of every
     # requested figure up front, so each driver's own run_sweep below is
@@ -643,36 +756,5 @@ def figure_suite(
             lattice(_sorted_uids(benchmarks), prefetch),
             cache=cache, workers=workers,
         )
-    drivers: dict[str, object] = {
-        "fig04": lambda: fig04_checkpoint_ratio(benchmarks, cache=cache),
-        "fig14_15": lambda: fig14_fig15_clq_designs(
-            benchmarks, cache=cache, workers=workers
-        ),
-        "fig18": fig18_sensor_latency,
-        "fig19": lambda: fig19_turnpike_wcdl(
-            benchmarks, cache=cache, workers=workers
-        ),
-        "fig20": lambda: fig20_turnstile_wcdl(
-            benchmarks, cache=cache, workers=workers
-        ),
-        "fig21": lambda: fig21_ablation(
-            benchmarks, cache=cache, workers=workers
-        ),
-        "fig22": lambda: fig22_sb_sensitivity(
-            benchmarks, cache=cache, workers=workers
-        ),
-        "fig23": lambda: fig23_store_breakdown(
-            benchmarks, cache=cache, workers=workers
-        ),
-        "fig24": lambda: fig24_clq_occupancy(
-            benchmarks, cache=cache, workers=workers
-        ),
-        "fig25": lambda: fig25_clq_size(
-            benchmarks, cache=cache, workers=workers
-        ),
-        "fig26": lambda: fig26_region_codesize(
-            benchmarks, cache=cache, workers=workers
-        ),
-        "table1": table1_hw_cost,
-    }
-    return {name: drivers[name]() for name in FIGURE_SUITE if name in wanted}
+    return {name: figure.run(benchmarks, cache, workers)
+            for name, figure in FIGURES.items() if name in wanted}

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.harness.experiments import Series
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.harness.experiments import Series
 
 
 def format_series_table(

@@ -1,8 +1,8 @@
-"""Compile / execute / simulate pipeline with memoisation and sharding.
+"""Compile / execute / simulate pipeline with memoisation.
 
 Every experiment needs the same expensive artefacts — compiled programs,
 dynamic traces, timing results — for many (benchmark, compiler config,
-hardware config) combinations. This module produces them through three
+hardware config) combinations. This module produces them through two
 cooperating layers:
 
 1. an in-process :class:`RunCache` (thread-safe; every lookup/insert
@@ -10,23 +10,21 @@ cooperating layers:
    ``clear()`` are safe);
 2. a persistent :class:`~repro.harness.artifacts.ArtifactCache` shared
    across processes and sessions (keyed by a digest of the simulator
-   source, so stale artefacts can never survive a code change);
-3. multiprocess sharding (:func:`simulate_many`, :func:`warm_suite`)
-   that fans benchmark x config jobs out across cores.
+   source, so stale artefacts can never survive a code change).
 
-Per-process caches are **independent**: each worker process builds its
-own ``RunCache`` (a fork inherits a snapshot of the parent's, spawn
-starts empty) and they never synchronise in memory. All cross-process
-reuse flows through the persistent artifact layer, whose writes are
-atomic — two workers may race to produce the same artefact and both
-succeed, one file winning harmlessly.
+Fanning design points out across cores is the sweep engine's job
+(:func:`repro.harness.sweep.run_sweep`). Per-process caches are
+**independent**: each worker process builds its own ``RunCache`` (a
+fork inherits a snapshot of the parent's, spawn starts empty) and they
+never synchronise in memory. All cross-process reuse flows through the
+persistent artifact layer, whose writes are atomic — two workers may
+race to produce the same artefact and both succeed, one file winning
+harmlessly.
 
-Functional execution uses the fast backend
-(:mod:`repro.runtime.fastsim`) by default; set
-``REPRO_SIM_BACKEND=reference`` to fall back to the golden interpreter.
-The two are bit-identical (enforced by the differential parity suite in
-``tests/test_fastsim_parity.py``), so the choice is invisible to every
-figure.
+Functional execution runs on the fast backend
+(:mod:`repro.runtime.fastsim`). The reference interpreter is its
+oracle: the differential parity suite in
+``tests/test_fastsim_parity.py`` holds the two bit-identical.
 
 Timing runs through the multi-lane kernel
 (:func:`repro.runtime.multisim.run_lanes`) — a solo point is simply one
@@ -49,28 +47,10 @@ from repro.compiler.pipeline import CompiledProgram, compile_baseline, compile_p
 from repro.harness.artifacts import ArtifactCache
 from repro.isa.program import program_digest
 from repro.runtime.fastsim import execute_fast
-from repro.runtime.interpreter import execute
 from repro.runtime.multisim import run_lanes
 from repro.runtime.trace import TraceSummary
 from repro.workloads.generator import Workload, build_workload
 from repro.workloads.suites import all_profiles, profile as lookup_profile
-
-
-def functional_backend() -> str:
-    """``"fast"`` (default) or ``"reference"``, from REPRO_SIM_BACKEND."""
-    backend = os.environ.get("REPRO_SIM_BACKEND", "fast").strip().lower()
-    if backend not in ("fast", "reference"):
-        raise ValueError(
-            f"REPRO_SIM_BACKEND={backend!r}: expected 'fast' or 'reference'"
-        )
-    return backend
-
-
-def _run_functional(program, memory):
-    """Functional execution via the selected backend."""
-    if functional_backend() == "reference":
-        return execute(program, memory, collect_trace=True)
-    return execute_fast(program, memory, collect_trace=True)
 
 
 def _baseline_config() -> CompilerConfig:
@@ -192,7 +172,9 @@ class RunCache:
                     return run
             workload = self.workload(uid)
             compiled = self.compiled_program(uid, config)
-            result = _run_functional(compiled.program, workload.fresh_memory())
+            result = execute_fast(
+                compiled.program, workload.fresh_memory(), collect_trace=True
+            )
             assert result.trace is not None
             run = PreparedRun(
                 uid, config, result.trace, workload=workload, compiled=compiled
@@ -314,12 +296,7 @@ class RunCache:
             return replace(stats, cache=dict(stats.cache))
 
     def baseline_cycles(self, uid: str, core: CoreConfig | None = None) -> float:
-        return self.stats(
-            uid,
-            _baseline_config(),
-            ResilienceHardwareConfig.baseline(),
-            core,
-        ).cycles
+        return self.stats(uid, *baseline_scheme(), core).cycles
 
     def clear(self) -> None:
         """Drop all in-memory memoisation (atomically).
@@ -370,6 +347,11 @@ def geomean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
+def baseline_scheme():
+    """(compiler, hardware) pair for the unprotected baseline."""
+    return _baseline_config(), ResilienceHardwareConfig.baseline()
+
+
 def turnstile_scheme(wcdl: int = 10, sb_size: int = 4):
     """(compiler, hardware) pair for the Turnstile baseline scheme."""
     return (
@@ -399,7 +381,6 @@ def run_report_text(
     scheme: str = "turnpike",
     wcdl: int = 10,
     sb_size: int = 4,
-    backend: str = "fast",
 ) -> str:
     """The ``repro run`` report for one benchmark, as text.
 
@@ -408,40 +389,21 @@ def run_report_text(
     keeping this single-sourced is what makes service results
     byte-identical to direct invocations).
     """
-    from repro.compiler.config import turnpike_config, turnstile_config
-    from repro.workloads.suites import load_workload
-
-    run_functional = execute_fast if backend == "fast" else execute
-    workload = load_workload(uid)
     if scheme == "baseline":
-        compiled = compile_baseline(workload.program)
-        hw = ResilienceHardwareConfig.baseline()
+        compiler, hardware = baseline_scheme()
     elif scheme == "turnstile":
-        compiled = compile_program(workload.program, turnstile_config(sb_size=sb_size))
-        hw = ResilienceHardwareConfig.turnstile(wcdl=wcdl, sb_size=sb_size)
+        compiler, hardware = turnstile_scheme(wcdl=wcdl, sb_size=sb_size)
     else:
-        compiled = compile_program(workload.program, turnpike_config(sb_size=sb_size))
-        hw = ResilienceHardwareConfig.turnpike(wcdl=wcdl, sb_size=sb_size)
-
-    result = run_functional(
-        compiled.program, workload.fresh_memory(), collect_trace=True
-    )
-    stats = run_lanes(result.trace, [(CoreConfig(), hw)])[0]
-
-    base = compile_baseline(workload.program)
-    base_run = run_functional(
-        base.program, workload.fresh_memory(), collect_trace=True
-    )
-    base_stats = run_lanes(
-        base_run.trace, [(CoreConfig(), ResilienceHardwareConfig.baseline())]
-    )[0]
+        compiler, hardware = turnpike_scheme(wcdl=wcdl, sb_size=sb_size)
+    stats = simulate(uid, compiler, hardware)
+    base_cycles = GLOBAL_CACHE.baseline_cycles(uid)
 
     lines = [
         f"benchmark:        {uid}",
         f"scheme:           {scheme} (WCDL={wcdl}, SB={sb_size})",
         f"instructions:     {stats.instructions}",
         f"cycles:           {stats.cycles:.0f}",
-        f"normalized time:  {stats.cycles / base_stats.cycles:.3f}",
+        f"normalized time:  {stats.cycles / base_cycles:.3f}",
         f"IPC:              {stats.ipc:.2f}",
         f"regions:          {stats.regions} "
         f"(avg {stats.dynamic_region_size:.1f} instr)",
@@ -452,11 +414,6 @@ def run_report_text(
         f"branch {stats.branch_stall_cycles:.0f} cycles",
     ]
     return "\n".join(lines)
-
-
-# -- multiprocess sharding -------------------------------------------------
-
-SimJob = tuple  # (uid, CompilerConfig, ResilienceHardwareConfig[, CoreConfig])
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -471,69 +428,10 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def _mp_simulate(job: SimJob) -> SimStats:
-    """Worker entry point: simulate one job via the worker's own caches."""
-    uid, compiler, hardware = job[0], job[1], job[2]
-    core = job[3] if len(job) > 3 else None
-    return simulate(uid, compiler, hardware, core)
-
-
-def simulate_many(
-    jobs: list[SimJob],
-    workers: int | None = None,
-    cache: RunCache | None = None,
-) -> list[SimStats]:
-    """Simulate many (uid, compiler, hardware[, core]) jobs, sharded.
-
-    With ``workers > 1`` the jobs fan out across a process pool; each
-    worker runs against its own independent in-process cache, and every
-    computed artefact lands in the shared persistent cache so the parent
-    (and future sessions) reuse it. Results return in job order and are
-    also folded into ``cache`` via the persistent layer on next access.
-    """
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(jobs) <= 1:
-        cache = cache or GLOBAL_CACHE
-        return [
-            cache.stats(j[0], j[1], j[2], j[3] if len(j) > 3 else None)
-            for j in jobs
-        ]
-    import multiprocessing as mp
-
-    with mp.get_context().Pool(min(workers, len(jobs))) as pool:
-        return pool.map(_mp_simulate, jobs, chunksize=1)
-
-
 def default_schemes() -> list[tuple[str, CompilerConfig, ResilienceHardwareConfig]]:
     """The scheme triples every figure sweep touches first."""
-    base = _baseline_config()
-    ts_c, ts_h = turnstile_scheme()
-    tp_c, tp_h = turnpike_scheme()
     return [
-        ("baseline", base, ResilienceHardwareConfig.baseline()),
-        ("turnstile", ts_c, ts_h),
-        ("turnpike", tp_c, tp_h),
+        ("baseline", *baseline_scheme()),
+        ("turnstile", *turnstile_scheme()),
+        ("turnpike", *turnpike_scheme()),
     ]
-
-
-def warm_suite(
-    uids: list[str] | None = None,
-    schemes: list[tuple[str, CompilerConfig, ResilienceHardwareConfig]] | None = None,
-    workers: int | None = None,
-) -> dict[tuple[str, str], SimStats]:
-    """Pre-populate the caches for a benchmark x scheme matrix, sharded.
-
-    Returns ``{(uid, scheme_name): stats}``. After this returns, the
-    persistent cache holds a trace and timing stats for every
-    combination, so subsequent figure sweeps start warm.
-    """
-    uids = uids if uids is not None else default_benchmarks()
-    schemes = schemes if schemes is not None else default_schemes()
-    jobs: list[SimJob] = []
-    names: list[tuple[str, str]] = []
-    for uid in uids:
-        for name, compiler, hardware in schemes:
-            jobs.append((uid, compiler, hardware))
-            names.append((uid, name))
-    results = simulate_many(jobs, workers=workers)
-    return dict(zip(names, results))

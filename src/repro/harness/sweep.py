@@ -22,8 +22,8 @@ The engine exploits both:
    byte-identical to a solo run of the reference core in
    :mod:`repro.arch.core`.
 3. **Multiprocess dispatch**: with ``workers > 1`` (or
-   ``REPRO_WORKERS``) lane batches fan out across a process pool, the
-   same sharding plumbing as ``simulate_many``.
+   ``REPRO_WORKERS``) lane batches fan out across a process pool. This
+   is the harness's one fan-out for timing points.
 
 Results are inserted back into the :class:`~repro.harness.runner.
 RunCache` stats layers under each point's own config key, so the solo
@@ -125,7 +125,6 @@ class SweepPlan:
 def plan_sweep(
     points: Sequence[DesignPoint],
     cache: RunCache,
-    reuse_cached: bool = True,
 ) -> SweepPlan:
     """Group design points into lane batches keyed by program digest.
 
@@ -142,23 +141,22 @@ def plan_sweep(
             continue
         # Cheapest first: stats memoised under the point's own config
         # key resolve without compiling anything.
-        if reuse_cached:
-            stats = cache.peek_stats(
+        stats = cache.peek_stats(
+            point.uid, point.compiler, point.hardware, point.core
+        )
+        if stats is not None:
+            key = ArtifactCache.stats_key(
                 point.uid, point.compiler, point.hardware, point.core
             )
-            if stats is not None:
-                key = ArtifactCache.stats_key(
-                    point.uid, point.compiler, point.hardware, point.core
-                )
-                keys[point] = key
-                resolved.setdefault(key, stats)
-                continue
+            keys[point] = key
+            resolved.setdefault(key, stats)
+            continue
         digest = cache.program_digest(point.uid, point.compiler)
         key = point_key(point, digest)
         keys[point] = key
         if key in resolved:
             continue
-        if reuse_cached and persistent is not None:
+        if persistent is not None:
             # Digest-level artifact: another config compiling to the
             # same program may have paid for this point already.
             stats = persistent.load_stats(key)
@@ -228,7 +226,6 @@ def run_sweep(
     points: Sequence[DesignPoint],
     cache: RunCache | None = None,
     workers: int | None = None,
-    reuse_cached: bool = True,
 ) -> dict[DesignPoint, SimStats]:
     """Evaluate a design-point lattice through the multi-lane engine.
 
@@ -237,7 +234,7 @@ def run_sweep(
     enforced by ``tests/test_multisim_parity.py``.
     """
     cache = cache or GLOBAL_CACHE
-    plan = plan_sweep(points, cache, reuse_cached=reuse_cached)
+    plan = plan_sweep(points, cache)
     computed: dict[str, SimStats] = dict(plan.resolved)
     workers = resolve_workers(workers)
     pending = [b for b in plan.batches if b.lanes]

@@ -8,7 +8,7 @@ Covers the tentpole's storage/concurrency contract:
   re-simulating anything (monkeypatched builders raise if touched);
 * ``prepared()`` under thread contention with interleaved ``clear()``
   never corrupts state, and ``clear()`` leaves the disk layer intact;
-* ``simulate_many`` returns identical stats sharded or sequential;
+* ``repro cache warm`` fills the disk layer for every scheme point;
 * shard-merge arithmetic (``SimStats.merge`` / ``merge_stats`` /
   ``CLQStats.merge``) is exact.
 """
@@ -29,10 +29,9 @@ from repro.harness.artifacts import ArtifactCache
 from repro.harness.runner import (
     RunCache,
     _baseline_config,
+    default_schemes,
     resolve_workers,
-    simulate_many,
     turnpike_scheme,
-    warm_suite,
 )
 
 UID = "CPU2006.mcf"
@@ -340,42 +339,21 @@ class TestSharding:
         assert resolve_workers(None) == 1
         assert resolve_workers(0) >= 1  # one per CPU
 
-    def test_simulate_many_parallel_matches_sequential(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shard-cache"))
-        tp_c, tp_h = turnpike_scheme()
-        base_c = _baseline_config()
-        base_h = ResilienceHardwareConfig.baseline()
-        jobs = [
-            (UID, tp_c, tp_h),
-            ("SPLASH3.radix", tp_c, tp_h),
-            (UID, base_c, base_h),
-            ("SPLASH3.radix", base_c, base_h),
-        ]
-        sequential = simulate_many(
-            jobs, workers=1, cache=RunCache(persistent=None)
-        )
-        sharded = simulate_many(jobs, workers=2)
-        assert sharded == sequential
-
-    def test_warm_suite_quick(self, monkeypatch, tmp_path):
-        # GLOBAL_CACHE binds its persistent layer at import time, so the
-        # sequential path needs the instance swapped, not just the env.
+    def test_warm_suite_quick(self, monkeypatch, tmp_path, capsys):
+        """``repro cache warm`` fills the disk cache the figures read."""
         import repro.harness.runner as runner_mod
+        from repro.__main__ import main
 
-        disk = ArtifactCache(tmp_path / "warm-cache")
-        monkeypatch.setattr(
-            runner_mod, "GLOBAL_CACHE", RunCache(persistent=disk)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "warm-cache"))
+        monkeypatch.setattr(runner_mod, "default_benchmarks", lambda: [UID])
+        assert main(["cache", "warm", "--workers", "1"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "warmed 3 (benchmark, scheme) pairs"
         )
-        results = warm_suite([UID], workers=1)
-        assert set(results) == {
-            (UID, "baseline"), (UID, "turnstile"), (UID, "turnpike")
-        }
-        assert all(s.cycles > 0 for s in results.values())
-        # the persistent layer now holds every artefact
-        info = disk.info()
-        assert info["traces"] == 3 and info["stats"] == 3
+        cache = RunCache(persistent=ArtifactCache(tmp_path / "warm-cache"))
+        for _name, compiler, hardware in default_schemes():
+            stats = cache.peek_stats(UID, compiler, hardware)
+            assert stats is not None and stats.cycles > 0
 
 
 class TestShardMerge:

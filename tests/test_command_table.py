@@ -23,7 +23,6 @@ BAD = {
     ("run", "wcdl"): "-3",
     ("run", "sb"): "0",
     ("run", "scheme"): "fastest",
-    ("run", "backend"): "codegen",
     ("inject", "uid"): "NOPE.nope",
     ("inject", "count"): "0",
     ("inject", "wcdl"): "0",
@@ -99,28 +98,33 @@ def test_cli_and_service_reject_the_same_values(kind, param, capsys):
         JobSpec.create(kind, {**base, param.key: value})
 
 
-#: Spellings of the retired multi-node fabric and its shard leases: the
-#: CLI refuses each before doing any work, and no job spec carries them.
+#: Spellings of the retired multi-node fabric and its shard leases, and
+#: of the retired functional-backend selector: the CLI refuses each
+#: before doing any work, and no job spec carries them.
 RETIRED = [
     ["serve", "--role", "worker"],
     ["nodes"],
     ["inject", "SPLASH3.radix", "--shards", "0:1"],
     ["submit", "inject", "--shards", "0:1"],
-    {"shards": "0:1"},
-    {"store_dir": "/x"},
+    ["run", "CPU2006.mcf", "--backend", "reference"],
+    ["submit", "run", "CPU2006.mcf", "--backend", "fast"],
+    ("inject", {"shards": "0:1"}),
+    ("inject", {"store_dir": "/x"}),
+    ("run", {"backend": "fast"}),
 ]
 
 
 @pytest.mark.parametrize(
     "spelling", RETIRED,
-    ids=[" ".join(s) if isinstance(s, list) else f"spec.{next(iter(s))}"
+    ids=[" ".join(s) if isinstance(s, list) else f"spec.{next(iter(s[1]))}"
          for s in RETIRED],
 )
 def test_retired_spellings_are_rejected(spelling, capsys):
-    if isinstance(spelling, dict):
-        (key,) = spelling
-        with pytest.raises(ValueError, match=f"unknown inject parameter.*{key}"):
-            JobSpec.create("inject", spelling)
+    if isinstance(spelling, tuple):
+        kind, params = spelling
+        (key,) = params
+        with pytest.raises(ValueError, match=f"unknown {kind} parameter.*{key}"):
+            JobSpec.create(kind, params)
         return
     try:
         code = main(spelling)

@@ -1,4 +1,4 @@
-"""Golden-trace regression fixtures.
+"""Golden-trace and figure regression fixtures.
 
 For six representative benchmarks (the quick subset) this test pins a
 compact :class:`~repro.runtime.trace.TraceSummary` snapshot — dynamic
@@ -6,6 +6,11 @@ instruction mix, store disposition, region count, step total — for both
 the baseline and the Turnpike build. Any compiler or interpreter change
 that shifts dynamic behaviour shows up as a readable JSON diff here
 instead of as a silent drift in the figure sweeps.
+
+``figures-quick.json`` pins every number of every figure and of Table 1
+on the same subset: the ``repro sweep --json`` output, minus its wall
+time. A refactor that moves one geomean in its third decimal shows up
+as a reviewed diff instead of slipping inside a paper-claim band.
 
 To regenerate after an *intentional* change::
 
@@ -17,6 +22,9 @@ then review and commit the changed files under tests/fixtures/goldens/.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +38,8 @@ from repro.workloads.suites import profile, quick_subset
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "fixtures" / "goldens"
 GOLDEN_UIDS = [p.uid for p in quick_subset()]
+FIGURES_GOLDEN = GOLDEN_DIR / "figures-quick.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _summarize(trace, steps: int) -> dict:
@@ -87,6 +97,49 @@ def test_golden_trace_summary(uid, update_goldens):
 
 
 def test_goldens_cover_quick_subset():
-    """Every quick-subset benchmark has a fixture and nothing extra."""
+    """Every quick-subset benchmark has a fixture, the figures have one,
+    and nothing extra."""
     have = {p.stem for p in GOLDEN_DIR.glob("*.json")}
-    assert have == set(GOLDEN_UIDS)
+    assert have == {*GOLDEN_UIDS, FIGURES_GOLDEN.stem}
+
+
+def _quick_sweep() -> dict:
+    """``repro sweep --benchmarks <quick subset> --json``, cold (artifact
+    cache off, one process), without ``elapsed_seconds``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "REPRO_CACHE_DIR": "0",
+           "REPRO_WORKERS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep",
+         "--benchmarks", ",".join(GOLDEN_UIDS), "--json"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    del payload["elapsed_seconds"]
+    return payload
+
+
+def _assert_matches(got, want, path="$"):
+    """Keys and strings exactly, numbers to 1e-9 relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            _assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert got == pytest.approx(want, rel=1e-9), path
+    else:
+        assert got == want, path
+
+
+def test_golden_figures(update_goldens):
+    payload = _quick_sweep()
+    if update_goldens:
+        FIGURES_GOLDEN.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+        return
+    _assert_matches(payload, json.loads(FIGURES_GOLDEN.read_text()))

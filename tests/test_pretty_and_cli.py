@@ -85,6 +85,33 @@ class TestCLI:
 
     def test_figure_unknown(self, capsys):
         assert cli_main(["figure", "fig99"]) == 2
+        assert capsys.readouterr().err == "unknown figure id 'fig99'\n"
+
+    def test_figure_and_sweep_resolve_every_id(self, monkeypatch, capsys):
+        """Both commands reach the suite entry of every suite id and
+        alias; ``figure`` prints the entry's view of that id when it has
+        one, ``sweep`` always the entry's own text. Stub entries stand
+        in for the 36-benchmark drivers."""
+        from dataclasses import replace
+
+        from repro.harness import experiments as exp
+
+        stubs = {
+            sid: replace(
+                fig, run=lambda *_: None, pairs=lambda: [],
+                text=lambda _r, sid=sid: f"text {sid}",
+                views={v: (lambda _r, v=v: f"view {v}") for v in fig.views},
+            )
+            for sid, fig in exp.FIGURES.items()
+        }
+        monkeypatch.setattr(exp, "FIGURES", stubs)
+        for fid in (*exp.FIGURE_SUITE, *exp.FIGURE_ALIASES):
+            sid = exp.FIGURE_ALIASES.get(fid, fid)
+            assert cli_main(["figure", fid.upper()]) == 0
+            want = f"view {fid}" if fid in stubs[sid].views else f"text {sid}"
+            assert capsys.readouterr().out == want + "\n"
+            assert cli_main(["sweep", fid, "--benchmarks", "CPU2006.mcf"]) == 0
+            assert capsys.readouterr().out.startswith(f"text {sid}\n\nswept 1 ")
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

@@ -37,11 +37,12 @@ UID2 = "SPLASH3.radix"
 #: every existing spec are a contract. The three inject keys were
 #: recomputed once, when the canonical inject spec lost its two
 #: always-null shard-lease fields (``shards``, ``store_dir``); their argv
-#: did not change.
+#: did not change. The three run keys were recomputed once, when the run
+#: spec lost its ``backend`` field with the functional-backend selector.
 GOLDEN = [
-    ("run", {'uid': 'CPU2006.mcf'}, ["run", "CPU2006.mcf", "--wcdl", "10", "--sb", "4", "--scheme", "turnpike", "--backend", "fast"], "a88efafb1dc2e63ab288a5fa006a0d7c7c5eb6f0"),
-    ("run", {'uid': 'SPLASH3.radix', 'wcdl': 30, 'sb': 8, 'scheme': 'turnstile', 'backend': 'reference'}, ["run", "SPLASH3.radix", "--wcdl", "30", "--sb", "8", "--scheme", "turnstile", "--backend", "reference"], "f3fafbff74670f532a2dea49deb6b1e70468e41f"),
-    ("run", {'uid': 'CPU2006.mcf', 'scheme': 'baseline'}, ["run", "CPU2006.mcf", "--wcdl", "10", "--sb", "4", "--scheme", "baseline", "--backend", "fast"], "854c3a514854e3f49e2c1b47bc68a992945c90d9"),
+    ("run", {'uid': 'CPU2006.mcf'}, ["run", "CPU2006.mcf", "--wcdl", "10", "--sb", "4", "--scheme", "turnpike"], "7da3d6dd0c738db5d0a92ed206cf7b0fa556154c"),
+    ("run", {'uid': 'SPLASH3.radix', 'wcdl': 30, 'sb': 8, 'scheme': 'turnstile'}, ["run", "SPLASH3.radix", "--wcdl", "30", "--sb", "8", "--scheme", "turnstile"], "f8d98e07952a013df2e820ca9a2b2641d2a7716d"),
+    ("run", {'uid': 'CPU2006.mcf', 'scheme': 'baseline'}, ["run", "CPU2006.mcf", "--wcdl", "10", "--sb", "4", "--scheme", "baseline"], "ba6a4d7349dd749996790a0d70805a3efd27d3f1"),
     ("inject", {}, ["inject", "SPLASH3.radix", "--count", "30", "--wcdl", "10", "--seed", "2024", "--targets", "register,store_buffer,clq,coloring", "--variants", "turnstile,warfree,turnpike,unsafe", "--shard-size", "8", "--workers", "1", "--accel", "on"], "8c8bc6045de17c52f48cedbcfd44a26004dc3f1e"),
     ("inject", {'uid': 'CPU2006.mcf', 'count': 12, 'seed': 7}, ["inject", "CPU2006.mcf", "--count", "12", "--wcdl", "10", "--seed", "7", "--targets", "register,store_buffer,clq,coloring", "--variants", "turnstile,warfree,turnpike,unsafe", "--shard-size", "8", "--workers", "1", "--accel", "on"], "875889007c0146d50f5a35ee2e9b78f799272658"),
     ("inject", {'uid': 'CPU2006.mcf', 'count': 5, 'wcdl': 20, 'seed': 3, 'targets': 'register, clq', 'variants': 'turnpike,unsafe', 'shard_size': 2, 'accel': 'off', 'snapshot_interval': 0, 'ecc': 'secded', 'upset': 'adjacent-double'}, ["inject", "CPU2006.mcf", "--count", "5", "--wcdl", "20", "--seed", "3", "--targets", "register,clq", "--variants", "turnpike,unsafe", "--shard-size", "2", "--workers", "1", "--accel", "off", "--snapshot-interval", "0", "--ecc", "secded", "--upset", "adjacent-double"], "0f7a6a800141e8b72b0fbb9a4eac97db17abe0f2"),
@@ -77,8 +78,7 @@ class TestJobSpec:
     def test_defaults_and_spelling_dedupe(self):
         bare = JobSpec.create("run", {"uid": UID})
         spelled = JobSpec.create(
-            "run", {"uid": UID, "wcdl": 10, "sb": 4, "scheme": "turnpike",
-                    "backend": "fast"}
+            "run", {"uid": UID, "wcdl": 10, "sb": 4, "scheme": "turnpike"}
         )
         assert bare == spelled
         assert job_key(bare) == job_key(spelled)
@@ -108,9 +108,9 @@ class TestJobSpec:
             JobSpec.create("run", {"uid": "NOPE.nope"})
         with pytest.raises(ValueError, match="expected an integer"):
             JobSpec.create("run", {"uid": UID, "wcdl": "ten"})
-        # Only the fast and reference backends exist.
-        with pytest.raises(ValueError, match="expected one of"):
-            JobSpec.create("run", {"uid": UID, "backend": "codegen"})
+        # The functional-backend selector is gone.
+        with pytest.raises(ValueError, match="unknown run parameter"):
+            JobSpec.create("run", {"uid": UID, "backend": "fast"})
 
     def test_lint_uid_xor_all(self):
         with pytest.raises(ValueError, match="uid or all"):
