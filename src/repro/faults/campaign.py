@@ -53,12 +53,22 @@ from repro.runtime.machine import Injection, InjectionTarget, ResilienceConfig
 from repro.runtime.memory import Memory
 
 
-def _horizon(compiled: CompiledProgram, memory: Memory) -> int:
-    """Commit-tick span of a fault-free run (injection times sample this)."""
+def _reference_run(
+    compiled: CompiledProgram, memory: Memory
+) -> tuple[dict[int, int], int]:
+    """One reference-interpreter run: the fault-free data image (what
+    :func:`~repro.faults.injector.golden_memory` returns) and the
+    commit-tick span injection times sample."""
     result = execute(compiled.program, memory.copy(), collect_trace=True)
     assert result.trace is not None
     boundaries = sum(1 for e in result.trace if e[0] == 7)
-    return max(2, len(result.trace) - boundaries - 1)
+    horizon = max(2, len(result.trace) - boundaries - 1)
+    return result.memory.data_image(), horizon
+
+
+def _horizon(compiled: CompiledProgram, memory: Memory) -> int:
+    """Commit-tick span of a fault-free run (injection times sample this)."""
+    return _reference_run(compiled, memory)[1]
 
 
 @dataclass
@@ -289,14 +299,12 @@ def _campaign_context(uid: str):
     if cached is None:
         from repro.compiler.config import turnpike_config
         from repro.compiler.pipeline import compile_program
-        from repro.faults.injector import golden_memory
         from repro.workloads.suites import load_workload
 
         workload = load_workload(uid)
         compiled = compile_program(workload.program, turnpike_config())
         memory = workload.fresh_memory()
-        golden = golden_memory(compiled, memory)
-        horizon = _horizon(compiled, memory)
+        golden, horizon = _reference_run(compiled, memory)
         cached = (compiled, memory, golden, horizon)
         _WORKER_CACHE[uid] = cached
     return cached

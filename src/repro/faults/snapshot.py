@@ -8,14 +8,17 @@ remaining clean suffix to completion. This module removes both replays:
 
 * :func:`record_golden_run` executes each (benchmark, variant) pair
   fault-free **once**, capturing periodic :class:`MachineSnapshot`\\ s
-  plus a per-tick *architectural fingerprint* stream.
+  plus an *architectural fingerprint* at every region-boundary point
+  (a tick whose next instruction is a ``BOUNDARY``) — where a
+  recovered run, which rolls back to a boundary, re-enters the golden
+  stream.
 * :func:`prepare_accelerated_run` fast-forwards an injection run by
   restoring the nearest snapshot strictly before the injection tick
   (prefix removal) and installs a convergence checker.
 * The checker compares the injected machine's fingerprint against the
-  golden stream after recovery quiesces; on a match it raises
-  :class:`ConvergedExit`, and the injector splices the golden terminal
-  statistics (suffix removal).
+  golden stream at the same boundary points, after recovery quiesces;
+  on a match it raises :class:`ConvergedExit`, and the injector splices
+  the golden terminal statistics (suffix removal).
 
 Soundness
 ---------
@@ -59,7 +62,10 @@ distinct golden ticks can never share an observable state (the machine
 is deterministic, so both would have to finish in the same number of
 remaining steps), hence duplicate fingerprints are genuine 64-bit
 collisions; they are dropped from the index, which is always sound — a
-missed match merely means the run simulates to completion.
+missed match merely means the run simulates on.  For the same reason
+any fixed set of program points may be indexed: a sparser index can
+only miss a match, and a missed match simulates on to the next indexed
+point.
 """
 
 from __future__ import annotations
@@ -89,7 +95,8 @@ def _mix64(x: int) -> int:
     Process-independent by construction (Python's builtin ``hash`` is
     salted per process, so golden records written by one worker must not
     be matched with it), and an order of magnitude cheaper than hashing
-    a ``repr`` — the golden recording computes a fingerprint every tick.
+    a ``repr`` — the golden recording computes a fingerprint at every
+    region-boundary point of the run.
     """
     x &= _M64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -99,7 +106,7 @@ def _mix64(x: int) -> int:
 
 class ConvergedExit(Exception):
     """Raised out of ``ResilientMachine.run`` when the injected run's
-    architectural state matches a tick of the golden stream.
+    architectural state matches a boundary point of the golden stream.
 
     Carries enough to splice the golden suffix: ``golden_tick`` /
     ``golden_steps`` locate the matched point in the golden run and
@@ -116,7 +123,12 @@ class ConvergedExit(Exception):
 
 
 class _FingerprintEngine:
-    """Computes per-tick observable-state fingerprints for one machine."""
+    """Computes observable-state fingerprints for one machine.
+
+    ``at_boundary[label][pc]`` flags the loop-bottom points whose next
+    instruction is a ``BOUNDARY`` (plus a fall-off sentinel per block):
+    the only points the recorder indexes and the checker compares.
+    """
 
     def __init__(self, machine: ResilientMachine):
         self.machine = machine
@@ -133,6 +145,10 @@ class _FingerprintEngine:
         # label -> per-position live-register tuples (lazily materialised).
         self._live: dict[str, list[tuple]] = {}
         self._blocks = {b.label: b.instructions for b in program.blocks}
+        self.at_boundary: dict[str, list[bool]] = {
+            b.label: [i.is_boundary for i in b.instructions] + [False]
+            for b in program.blocks
+        }
 
     # -- liveness ---------------------------------------------------------
 
@@ -303,16 +319,17 @@ def full_state_canonical(machine: ResilientMachine, t: int) -> tuple:
 class _ConvergenceChecker:
     """``_on_tick`` hook: raises :class:`ConvergedExit` on a golden match.
 
-    Checks are gated on the machine carrying *no outstanding fault
-    state*, then throttled with an exponential backoff (reset whenever a
-    new recovery fires, since convergence usually follows within a few
-    ticks of the rollback).
+    Only boundary points are compared (the golden index holds no
+    others). Checks are gated on the machine carrying *no outstanding
+    fault state*, then throttled with an exponential backoff (reset
+    whenever a new recovery fires, since convergence usually follows
+    within a few ticks of the rollback).
     """
 
     MAX_GAP = 64
 
-    __slots__ = ("_machine", "_fp_index", "_engine", "_gap", "_skip",
-                 "_recoveries")
+    __slots__ = ("_machine", "_fp_index", "_engine", "_at_boundary",
+                 "_gap", "_skip", "_recoveries")
 
     def __init__(self, machine: ResilientMachine,
                  fp_index: dict[int, tuple[int, int]],
@@ -320,11 +337,14 @@ class _ConvergenceChecker:
         self._machine = machine
         self._fp_index = fp_index
         self._engine = engine
+        self._at_boundary = engine.at_boundary
         self._gap = 1
         self._skip = 0
         self._recoveries = machine.stats.recoveries
 
     def __call__(self, label: str, pc: int, t: int, steps: int) -> None:
+        if not self._at_boundary[label][pc]:
+            return
         m = self._machine
         if m.injection is not None:
             return  # strike not applied yet — nothing to converge from
@@ -361,9 +381,10 @@ class _ConvergenceChecker:
 class GoldenRecord:
     """One fault-free run's acceleration artefacts.
 
-    ``fp_index`` maps each unambiguous per-tick fingerprint to its
+    ``fp_index`` maps each unambiguous boundary-point fingerprint to its
     ``(tick, steps)`` position in the golden run; ``snapshots`` carry
-    delta-encoded machine images at ``snap_times`` (sorted ascending).
+    delta-encoded machine images at ``snap_times`` (sorted ascending),
+    taken on the tick grid ``interval`` apart.
     """
 
     interval: int | None
@@ -420,35 +441,41 @@ def record_golden_run(
     machine = ResilientMachine(compiled, config, memory.copy(),
                                max_steps=max_steps)
     machine._mem_fp = memory_fingerprint(machine.mem.cells)
+    dirty: set[int] = set()
+    machine._mem_dirty = dirty
     engine = _FingerprintEngine(machine)
+    at_boundary = engine.at_boundary
     fp_index: dict[int, tuple[int, int]] = {}
     ambiguous: set[int] = set()
     snapshots: list[MachineSnapshot] = []
     snap_times: list[int] = []
     prev_cells = dict(machine.mem.cells)
-    cursor = {"last_snap_t": 0, "ticks": 0}
+    ticks = 0
+    next_snap_t = interval if interval is not None else float("inf")
 
     def hook(label: str, pc: int, t: int, steps: int) -> None:
-        cursor["ticks"] = t
-        fp = engine.fingerprint(label, pc, t)
-        if fp in ambiguous:
-            pass
-        elif fp in fp_index:
-            # Two distinct golden ticks share a fingerprint (either a
-            # genuinely revisited state or a 64-bit collision): matching
-            # it could splice the wrong suffix length, so drop it.
-            del fp_index[fp]
-            ambiguous.add(fp)
-        else:
-            fp_index[fp] = (t, steps)
-        if interval is not None and t - cursor["last_snap_t"] >= interval:
-            snapshots.append(
-                machine.snapshot(label, pc, t, steps, prev_cells=prev_cells)
-            )
+        nonlocal ticks, next_snap_t
+        ticks = t
+        if at_boundary[label][pc]:
+            fp = engine.fingerprint(label, pc, t)
+            if fp in ambiguous:
+                pass
+            elif fp in fp_index:
+                # Two distinct golden ticks share a fingerprint (either a
+                # genuinely revisited state or a 64-bit collision):
+                # matching it could splice the wrong suffix length, so
+                # drop it.
+                del fp_index[fp]
+                ambiguous.add(fp)
+            else:
+                fp_index[fp] = (t, steps)
+        if t >= next_snap_t:
+            snap = machine.snapshot(label, pc, t, steps, prev_cells=prev_cells)
+            snapshots.append(snap)
             snap_times.append(t)
-            prev_cells.clear()
-            prev_cells.update(machine.mem.cells)
-            cursor["last_snap_t"] = t
+            prev_cells.update(snap.mem_delta)
+            dirty.clear()
+            next_snap_t = t + interval
 
     machine._on_tick = hook
     stats = machine.run()
@@ -465,7 +492,7 @@ def record_golden_run(
     return GoldenRecord(
         interval=interval,
         max_steps=max_steps,
-        total_ticks=cursor["ticks"],
+        total_ticks=ticks,
         total_steps=total_steps,
         fp_index=fp_index,
         snap_times=snap_times,

@@ -20,7 +20,7 @@ Four artifact kinds are stored:
   for one (uid, compiler, hardware, core) combination.
 * ``golden-<key>.pkl`` — a fault-free
   :class:`~repro.faults.snapshot.GoldenRecord` (periodic machine
-  snapshots plus the per-tick fingerprint stream) for one (uid,
+  snapshots plus the boundary-point fingerprint index) for one (uid,
   resilience-config, snapshot-interval, max-steps) combination, used to
   accelerate fault-injection campaigns.
 * ``vuln-<key>.json`` — a serialized

@@ -535,11 +535,13 @@ class ResilientMachine:
         self._mem_flips: dict[int, frozenset[int]] = {}
 
         # Acceleration state: the incremental memory fingerprint (None =
-        # not maintained; captured by snapshots), a per-tick callback
-        # fired at the bottom of the run loop, and the restored loop
-        # position consumed by the next run() call (both excluded from
-        # snapshots).
+        # not maintained; captured by snapshots), the addresses written
+        # since a golden recording's last snapshot (None = not tracked),
+        # a per-tick callback fired at the bottom of the run loop, and
+        # the restored loop position consumed by the next run() call
+        # (the last three are excluded from snapshots).
         self._mem_fp: int | None = None
+        self._mem_dirty: set[int] | None = None
         self._on_tick: Callable[[str, int, int, int], None] | None = None
         self._resume: tuple[str, int, int, int] | None = None
 
@@ -602,9 +604,9 @@ class ResilientMachine:
     )
     # Static configuration and harness plumbing: identical across the
     # runs a snapshot may move between, so capturing it would be wasted
-    # bytes (and _on_tick/_resume are per-run, not machine state;
-    # _next_due is derived from rbb + _detection_due and recomputed on
-    # restore).
+    # bytes (and _mem_dirty/_on_tick/_resume are per-run, not machine
+    # state; _next_due is derived from rbb + _detection_due and
+    # recomputed on restore).
     _SNAPSHOT_EXCLUDED = frozenset(
         {
             "compiled",
@@ -613,6 +615,7 @@ class ResilientMachine:
             "config",
             "max_steps",
             "wall_clock_budget",
+            "_mem_dirty",
             "_on_tick",
             "_resume",
             "_next_due",
@@ -631,8 +634,10 @@ class ResilientMachine:
 
         ``(label, pc, t, steps)`` is the loop position the caller's
         ``_on_tick`` hook received. With ``prev_cells`` (the cell dict as
-        of the previous snapshot) only changed cells are stored; without
-        it the snapshot is self-contained.
+        of the previous snapshot) only the cells changed since then are
+        stored, found among the addresses in ``_mem_dirty`` (the caller
+        keeps it covering every write since ``prev_cells``); without it
+        the snapshot is self-contained.
         """
         unknown = set(vars(self)) - self._SNAPSHOT_FIELDS - self._SNAPSHOT_EXCLUDED
         if unknown:
@@ -647,13 +652,21 @@ class ResilientMachine:
             mem_delta = dict(cells)
             mem_full = True
         else:
+            dirty = self._mem_dirty
+            if dirty is None or self._mem_fp is None:
+                # Writes are only tracked through the fingerprinted funnel.
+                raise SnapshotError(
+                    "delta snapshot needs _mem_fp and _mem_dirty maintained"
+                )
             # Key-exact delta: a cell holding 0 is distinct from an absent
             # one here because MEMORY-injection targeting enumerates keys.
-            mem_delta = {
-                a: v
-                for a, v in cells.items()
-                if a not in prev_cells or prev_cells[a] != v
-            }
+            # Cells are never deleted, so every new or changed cell was
+            # written since prev_cells.
+            mem_delta = {}
+            for a in dirty:
+                v = cells[a]
+                if prev_cells.get(a) != v:
+                    mem_delta[a] = v
             mem_full = False
         return MachineSnapshot(
             label=label,
@@ -1032,7 +1045,8 @@ class ResilientMachine:
     def _mem_write(self, addr: int, value: int) -> None:
         """Every memory write funnels through here so the incremental
         fingerprint (maintained only while acceleration is active) stays
-        in sync with the cells."""
+        in sync with the cells, and a golden recording's dirty set sees
+        every written address."""
         fp = self._mem_fp
         if fp is None:
             self.mem.store(addr, value)
@@ -1042,6 +1056,9 @@ class ResilientMachine:
         new = wrap32(value)
         cells[addr] = new
         self._mem_fp = fp ^ _cell_hash(addr, old) ^ _cell_hash(addr, new)
+        dirty = self._mem_dirty
+        if dirty is not None:
+            dirty.add(addr)
 
     def _store_word(self, addr: int, value: int) -> None:
         """Memory write; overwriting a struck word clears its syndrome."""

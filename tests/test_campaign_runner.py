@@ -12,12 +12,15 @@ import json
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.faults import campaign
 from repro.faults.campaign import (
     AccelOptions,
     CampaignRunner,
     CampaignSpec,
+    _horizon,
     format_differential_report,
 )
+from repro.faults.injector import golden_memory
 
 SPEC = CampaignSpec(
     uid="CPU2006.bzip2",
@@ -202,6 +205,25 @@ class TestSpecValidation:
         flat = [i for shard in shards for i in shard]
         assert flat == list(range(SPEC.count))
         assert all(len(shard) <= SPEC.shard_size for shard in shards)
+
+
+class TestCampaignContext:
+    def test_one_interpreter_run_gives_image_and_horizon(self, monkeypatch):
+        calls = []
+        execute = campaign.execute
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "_WORKER_CACHE", {})
+        monkeypatch.setattr(campaign, "execute", counted)
+        compiled, memory, golden, horizon = campaign._campaign_context(
+            "CPU2006.mcf"
+        )
+        assert len(calls) == 1
+        assert golden == golden_memory(compiled, memory)
+        assert horizon == _horizon(compiled, memory)
 
 
 class TestInjectCLI:

@@ -13,6 +13,8 @@ import pytest
 from repro.compiler.config import turnpike_config
 from repro.compiler.pipeline import compile_program
 from repro.faults.campaign import (
+    VARIANT_CONFIGS,
+    _campaign_context,
     _horizon,
     turnpike_machine_config,
     unsafe_machine_config,
@@ -26,12 +28,20 @@ from repro.faults.injector import (
     random_register_injections,
     run_with_injection,
 )
+from repro.faults.snapshot import (
+    ConvergedExit,
+    prepare_accelerated_run,
+    record_golden_run,
+)
+from repro.isa.registers import Reg
 from repro.runtime.machine import (
+    DetectedHalt,
     Injection,
     InjectionTarget,
     ProtocolError,
     RecoveryFailure,
     ResilientMachine,
+    WatchdogTimeout,
 )
 from repro.runtime.memory import Memory
 
@@ -98,6 +108,10 @@ class TestKindClassification:
         assert outcome.kind is FaultOutcomeKind.DETECTED_HALT
         assert outcome.contained and not outcome.correct
         assert "uncorrectable" in (outcome.error or "")
+        # The detection (due at 202) rolls back once before the load of
+        # the struck word halts: exactly one recovery, so the flag must
+        # read ``recoveries > 0``, not ``> 1``.
+        assert outcome.recovered and not outcome.parity_detected
 
     def test_watchdog_maps_to_timeout(self, loop_setup):
         compiled, memory, golden = loop_setup
@@ -143,6 +157,106 @@ class TestKindClassification:
             assert outcome.traceback is not None
             assert type(exc).__name__ in outcome.traceback
             assert str(exc) in outcome.traceback
+
+
+class TestOutcomeFlags:
+    """``recovered``/``parity_detected`` survive every early exit.
+
+    Each case runs with exactly one recovery and one parity detection,
+    so a flag computed as ``count > 1`` instead of ``count > 0`` reads
+    False and fails here.
+    """
+
+    # A radix register strike whose taint reaches a fast-release store
+    # address: the parity trip detects it and one rollback repairs it.
+    PARITY_STRIKE = Injection(
+        time=5160,
+        target=InjectionTarget.REGISTER,
+        reg=Reg.phys(2),
+        bit=28,
+        detection_delay=7,
+    )
+
+    @pytest.fixture(scope="class")
+    def radix(self):
+        compiled, memory, golden, _ = _campaign_context("SPLASH3.radix")
+        config = VARIANT_CONFIGS["turnpike"](10)
+        record = record_golden_run(compiled, config, memory, golden_image=golden)
+        return compiled, memory, golden, config, record
+
+    def test_timeout_after_a_parity_recovery(self, radix):
+        """The recovered run needs more steps than the fault-free one, so
+        a budget of exactly the fault-free total times it out after the
+        rollback — from scratch on the watchdog, accelerated in the
+        splice."""
+        compiled, memory, golden, config, record = radix
+        budget = record.total_steps
+        strike = self.PARITY_STRIKE
+        machine = ResilientMachine(compiled, config, memory.copy(),
+                                   max_steps=budget)
+        machine.arm_injection(strike)
+        with pytest.raises(WatchdogTimeout):
+            machine.run()
+        assert machine.stats.recoveries == 1
+        assert machine.stats.parity_detections == 1
+        # The accelerated run converges, and its spliced total is over
+        # the budget: that outcome comes from the splice branch.
+        machine = ResilientMachine(compiled, config, memory.copy(),
+                                   max_steps=budget)
+        prepare_accelerated_run(machine, record, strike.time, memory)
+        machine.arm_injection(strike)
+        with pytest.raises(ConvergedExit) as conv:
+            machine.run()
+        spliced = conv.value.steps + record.total_steps - conv.value.golden_steps
+        assert spliced > budget
+        assert machine.stats.recoveries == 1
+        assert machine.stats.parity_detections == 1
+        for accel in (None, record):
+            outcome = run_with_injection(compiled, config, memory, strike,
+                                         golden, max_steps=budget, accel=accel)
+            assert outcome.kind is FaultOutcomeKind.TIMEOUT
+            assert outcome.recovered and outcome.parity_detected
+
+    def test_spliced_recovery_keeps_the_parity_flag(self, radix):
+        compiled, memory, golden, config, record = radix
+        for accel in (None, record):
+            outcome = run_with_injection(compiled, config, memory,
+                                         self.PARITY_STRIKE, golden,
+                                         accel=accel)
+            assert outcome.kind is FaultOutcomeKind.RECOVERED
+            assert outcome.recovered and outcome.parity_detected
+
+    @pytest.mark.parametrize(
+        "exc, kind",
+        [
+            (ProtocolError("impossible state"), FaultOutcomeKind.PROTOCOL_BUG),
+            (RuntimeError("synthetic crash"), FaultOutcomeKind.PROTOCOL_BUG),
+            # No single real strike both trips parity and halts: a parity
+            # trip comes from a register strike, a halt from struck ECC
+            # storage.
+            (DetectedHalt("uncorrectable"), FaultOutcomeKind.DETECTED_HALT),
+        ],
+    )
+    def test_stubbed_crash_after_a_parity_recovery(
+        self, loop_setup, monkeypatch, exc, kind
+    ):
+        compiled, memory, golden = loop_setup
+
+        def crash(self):
+            self.stats.recoveries = 1
+            self.stats.parity_detections = 1
+            raise exc
+
+        monkeypatch.setattr(ResilientMachine, "run", crash)
+        outcome = run_with_injection(
+            compiled,
+            turnpike_machine_config(10),
+            memory,
+            _memory_injection(time=200),
+            golden,
+        )
+        assert outcome.kind is kind
+        assert outcome.recovered and outcome.parity_detected
 
 
 class TestMaskedSemantics:

@@ -12,6 +12,13 @@ on the same subset: the ``repro sweep --json`` output, minus its wall
 time. A refactor that moves one geomean in its third decimal shows up
 as a reviewed diff instead of slipping inside a paper-claim band.
 
+``campaign-bzip2.json`` and ``avf-radix.json`` pin the injection
+taxonomy and one AVF table: the ``repro inject --export`` bytes of a
+small enumerated campaign and of a ``--sample`` campaign. Both must come
+out identical with snapshot acceleration on and off, so a change to the
+golden recorder or the convergence checker cannot move them even where
+both paths would move together.
+
 To regenerate after an *intentional* change::
 
     PYTHONPATH=src python -m pytest tests/test_goldens.py --update-goldens
@@ -39,6 +46,13 @@ from repro.workloads.suites import profile, quick_subset
 GOLDEN_DIR = Path(__file__).resolve().parent / "fixtures" / "goldens"
 GOLDEN_UIDS = [p.uid for p in quick_subset()]
 FIGURES_GOLDEN = GOLDEN_DIR / "figures-quick.json"
+#: golden file -> ``repro inject`` arguments whose ``--export`` it holds.
+CAMPAIGN_GOLDENS = {
+    "campaign-bzip2": ["CPU2006.bzip2", "--count", "12", "--seed", "7"],
+    "avf-radix": ["SPLASH3.radix", "--count", "1", "--seed", "7",
+                  "--targets", "register", "--variants", "turnpike",
+                  "--sample"],
+}
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -100,20 +114,25 @@ def test_goldens_cover_quick_subset():
     """Every quick-subset benchmark has a fixture, the figures have one,
     and nothing extra."""
     have = {p.stem for p in GOLDEN_DIR.glob("*.json")}
-    assert have == {*GOLDEN_UIDS, FIGURES_GOLDEN.stem}
+    assert have == {*GOLDEN_UIDS, FIGURES_GOLDEN.stem, *CAMPAIGN_GOLDENS}
 
 
-def _quick_sweep() -> dict:
-    """``repro sweep --benchmarks <quick subset> --json``, cold (artifact
-    cache off, one process), without ``elapsed_seconds``."""
+def _repro(*args: str) -> subprocess.CompletedProcess:
+    """``python -m repro <args>``, cold: artifact cache off, one process."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "REPRO_CACHE_DIR": "0",
            "REPRO_WORKERS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "sweep",
-         "--benchmarks", ",".join(GOLDEN_UIDS), "--json"],
+        [sys.executable, "-m", "repro", *args],
         capture_output=True, text=True, env=env, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _quick_sweep() -> dict:
+    """``repro sweep --benchmarks <quick subset> --json`` without
+    ``elapsed_seconds``."""
+    proc = _repro("sweep", "--benchmarks", ",".join(GOLDEN_UIDS), "--json")
     payload = json.loads(proc.stdout)
     del payload["elapsed_seconds"]
     return payload
@@ -143,3 +162,20 @@ def test_golden_figures(update_goldens):
         )
         return
     _assert_matches(payload, json.loads(FIGURES_GOLDEN.read_text()))
+
+
+@pytest.mark.parametrize("accel", ["off", "on"])
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_GOLDENS))
+def test_golden_campaign(name, accel, tmp_path, update_goldens):
+    """The export is byte-identical to the golden with either setting;
+    ``--update-goldens`` rewrites it from the unaccelerated run."""
+    export = tmp_path / "export.json"
+    _repro("inject", *CAMPAIGN_GOLDENS[name], "--accel", accel,
+           "--export", str(export))
+    path = GOLDEN_DIR / f"{name}.json"
+    if update_goldens and accel == "off":
+        path.write_bytes(export.read_bytes())
+        return
+    assert export.read_bytes() == path.read_bytes(), (
+        f"{name} with --accel {accel} diverged from the golden export"
+    )

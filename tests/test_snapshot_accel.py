@@ -36,6 +36,7 @@ from repro.faults.snapshot import (
     record_golden_run,
 )
 from repro.harness.artifacts import ArtifactCache
+from repro.isa.builder import ProgramBuilder
 from repro.runtime.machine import (
     ResilientMachine,
     SnapshotError,
@@ -122,32 +123,110 @@ class TestGoldenRecord:
             )
 
 
+def _reference_points(compiled, config, memory, hook):
+    """Run a plain fault-free machine, calling ``hook(machine, label, pc,
+    t)`` at every tick; returns the finished machine and its stats."""
+    machine = ResilientMachine(compiled, config, memory.copy())
+    machine._on_tick = lambda label, pc, t, steps: hook(machine, label, pc, t)
+    stats = machine.run()
+    return machine, stats
+
+
 class TestSnapshotRestore:
     def test_restore_reproduces_machine_exactly(self, ctx):
         """Each snapshot restores to full-state canonical equality with a
-        reference machine stopped at the same tick, and runs to the same
-        terminal image and stats."""
+        reference machine stopped at the same tick, its cell dict is the
+        reference's, its ``mem_delta`` holds exactly the cells changed
+        since the previous snapshot, and the restored machine runs to the
+        same terminal image and stats."""
         compiled, memory, golden, _ = ctx
         config = _turnpike()
         rec = record_golden_run(
             compiled, config, memory, interval=16, golden_image=golden
         )
-        reference = ResilientMachine(compiled, config, memory.copy())
-        ref_stats = reference.run()
+        at = set(rec.snap_times)
+        ref_cells: dict[int, dict[int, int]] = {}
+        ref_canon: dict[int, tuple] = {}
+
+        def capture(machine, label, pc, t):
+            if t in at:
+                ref_cells[t] = dict(machine.mem.cells)
+                ref_canon[t] = full_state_canonical(machine, t)
+
+        reference, ref_stats = _reference_points(
+            compiled, config, memory, capture
+        )
         ref_image = reference.mem.data_image()
+        assert sorted(ref_cells) == rec.snap_times
+        prev = memory.cells
         for index, snap in enumerate(rec.snapshots):
+            cells = ref_cells[snap.t]
+            assert rec.cells_at(index, memory.cells) == cells
+            # Key-exact: a new cell is in the delta even when it holds 0.
+            assert snap.mem_delta == {
+                a: v for a, v in cells.items() if a not in prev or prev[a] != v
+            }
+            prev = cells
             machine = ResilientMachine(compiled, config, memory.copy())
             machine.restore(snap, cells=rec.cells_at(index, memory.cells))
-            # The restored machine is *exactly* the recorded one.
-            probe = ResilientMachine(compiled, config, memory.copy())
-            probe.restore(snap, cells=rec.cells_at(index, memory.cells))
-            assert full_state_canonical(machine, snap.t) == \
-                full_state_canonical(probe, snap.t)
+            assert full_state_canonical(machine, snap.t) == ref_canon[snap.t]
             assert machine._mem_fp == memory_fingerprint(machine.mem.cells)
             stats = machine.run()
             assert machine.mem.data_image() == ref_image
             assert stats.committed == ref_stats.committed
             assert stats.regions == ref_stats.regions
+
+    def test_mem_delta_skips_rewritten_unchanged_cells(self):
+        """A loop that stores a changing value, a constant, and a zero
+        into a fresh cell every iteration: the constant and the zero cell
+        each appear in exactly one delta (the zero one key-exact), the
+        changing cell in many."""
+        b = ProgramBuilder("rewrite_loop")
+        b.begin_block("entry")
+        i = b.li(0)
+        limit = b.li(12)
+        base = b.li(0x400)
+        seven = b.li(7)
+        zero = b.li(0)
+        b.jmp("loop")
+        b.begin_block("loop")
+        b.store(i, base)
+        b.store(seven, base, offset=4)
+        b.store(zero, base, offset=8)
+        b.addi(i, 1, dest=i)
+        b.blt(i, limit, "loop", "done")
+        b.begin_block("done")
+        b.ret()
+        compiled = compile_program(b.finish(), turnpike_config())
+        memory = Memory()
+        rec = record_golden_run(
+            compiled, _turnpike(), memory, interval=3,
+            golden_image=golden_memory(compiled, memory),
+        )
+        deltas = [snap.mem_delta for snap in rec.snapshots]
+        assert [d[0x404] for d in deltas if 0x404 in d] == [7]
+        assert [d[0x408] for d in deltas if 0x408 in d] == [0]
+        assert sum(0x400 in d for d in deltas) > 1
+
+    def test_fp_index_holds_only_boundary_points(self, ctx):
+        """The index holds exactly the ticks whose next instruction is a
+        region boundary (the sum loop never revisits a state, so no
+        fingerprint is dropped as ambiguous)."""
+        compiled, memory, golden, _ = ctx
+        config = _turnpike()
+        rec = record_golden_run(
+            compiled, config, memory, interval=16, golden_image=golden
+        )
+        blocks = {b.label: b.instructions for b in compiled.program.blocks}
+        boundary_ticks: set[int] = set()
+
+        def capture(machine, label, pc, t):
+            if pc < len(blocks[label]) and blocks[label][pc].is_boundary:
+                boundary_ticks.add(t)
+
+        _reference_points(compiled, config, memory, capture)
+        indexed = sorted(tick for tick, _ in rec.fp_index.values())
+        assert indexed and indexed == sorted(boundary_ticks)
 
     def test_unknown_machine_field_fails_loudly(self, ctx):
         """The field audit: any attribute snapshot() has no rule for is a
