@@ -395,7 +395,8 @@ def _cmd_cache(args) -> int:
         print(
             f"artifacts: {info['artifacts']} "
             f"({info['traces']} traces, {info['stats']} stats, "
-            f"{info['goldens']} goldens, {info['vulns']} vulns)"
+            f"{info['digests']} digests, {info['goldens']} goldens, "
+            f"{info['vulns']} vulns)"
         )
         for kind, size in by_kind.items():
             print(f"  {kind + ':':<9} {human_size(size)}")

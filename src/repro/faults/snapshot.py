@@ -410,7 +410,9 @@ class GoldenRecord:
         every delta up to and including that snapshot.
 
         Rebuilt fresh on every call — memoising per-snapshot full images
-        would multiply the working set by the snapshot count.
+        would multiply the working set by the snapshot count. The caller
+        owns the result, so it can hand it straight to
+        :meth:`ResilientMachine.restore`, which keeps it without a copy.
         """
         cells = dict(base_cells)
         for snap in self.snapshots[: index + 1]:

@@ -1,23 +1,37 @@
 """Persistent on-disk artifact cache for simulation products.
 
-Traces and timing results are pure functions of (benchmark uid, compiler
-config, hardware config, core config) *and of the simulator's own source
-code*. This module keys every artifact by a digest of the whole
-``repro`` package source plus the reprs of the frozen config dataclasses,
-so a warm cache can never serve results produced by different simulator
-semantics: touching any ``src/repro`` file invalidates everything.
+Traces and timing results are pure functions of the compiled program,
+the benchmark's input and the hardware/core configs *and of the
+simulator's own source code*. This module keys every artifact by a
+digest of the whole ``repro`` package source plus the reprs of its
+identifying parts, so a warm cache can never serve results produced by
+different simulator semantics: touching any ``src/repro`` file
+invalidates everything.
 
-Four artifact kinds are stored:
+Functional work has one content address: the benchmark uid plus the
+16-hex structural :func:`~repro.isa.program.program_digest` of the
+compiled program. Compiler configs that compile to the same program
+share one trace and one stats artifact per hardware point, across
+figures and across processes. A small ``digest`` artifact records which
+program a (uid, compiler config) pair compiles to, so a later process
+finds those artifacts without compiling anything.
 
-* ``trace-<key>.pkl`` — the dynamic trace of one (uid, compiler-config)
-  pair, as pickled tuples. Branch-id fields inside a trace come from the
-  process-global instruction uid counter, so cached bytes can differ from
-  a fresh trace by a constant offset — the bimodal predictor indexes its
-  table by ``uid & mask``, and aliasing depends only on pairwise uid
-  *differences*, which are structural. Timing statistics computed from a
-  cached trace are therefore identical to those from a fresh one.
+Five artifact kinds are stored:
+
+* ``trace-<key>.pkl`` — the dynamic trace of one (uid, program digest)
+  pair, as pickled tuples (:meth:`ArtifactCache.trace_key`). Branch-id
+  fields inside a trace come from the process-global instruction uid
+  counter, so cached bytes can differ from a fresh trace by a constant
+  offset — the bimodal predictor indexes its table by ``uid & mask``,
+  and aliasing depends only on pairwise uid *differences*, which are
+  structural. Timing statistics computed from a cached trace are
+  therefore identical to those from a fresh one.
 * ``stats-<key>.json`` — a finished :class:`~repro.arch.stats.SimStats`
-  for one (uid, compiler, hardware, core) combination.
+  for one (uid, program digest, hardware, core) design point
+  (:meth:`ArtifactCache.stats_key`).
+* ``digest-<key>.txt`` — the 16-hex program digest one (uid, compiler
+  config) pair compiles to (:meth:`ArtifactCache.digest_key`). Anything
+  but 16 hex digits reads as a miss.
 * ``golden-<key>.pkl`` — a fault-free
   :class:`~repro.faults.snapshot.GoldenRecord` (periodic machine
   snapshots plus the boundary-point fingerprint index) for one (uid,
@@ -33,8 +47,8 @@ no longer exists. Nothing reads or counts them; :meth:`ArtifactCache.clear`
 (and so ``repro cache clear|prune``) still deletes them.
 
 Writes are atomic (temp file + ``os.replace``), so any number of
-processes — the multiprocess shards of :mod:`repro.harness.runner`
-included — may share one cache directory without locking. Every load is
+processes — the sweep engine's and the service's workers included — may
+share one cache directory without locking. Every load is
 failure-tolerant: a corrupt or truncated artifact is treated as a miss
 and rewritten.
 
@@ -58,7 +72,8 @@ from repro.arch.stats import SimStats
 from repro.compiler.config import CompilerConfig
 
 _FORMAT_VERSION = 1
-_KINDS = ("trace-", "stats-", "golden-", "vuln-")
+_KINDS = ("trace-", "stats-", "digest-", "golden-", "vuln-")
+_HEX = "0123456789abcdef"
 _LEGACY_KINDS = ("codegen-",)  # see the module docstring
 _code_digest: str | None = None
 
@@ -120,34 +135,29 @@ class ArtifactCache:
     # -- keys -------------------------------------------------------------
 
     @staticmethod
-    def trace_key(uid: str, compiler: CompilerConfig) -> str:
-        return _key("trace", uid, compiler)
+    def trace_key(uid: str, digest: str) -> str:
+        """Key of the trace of one (uid, program digest) pair."""
+        return _key("trace", uid, digest)
 
     @staticmethod
     def stats_key(
-        uid: str,
-        compiler: CompilerConfig,
-        hardware: ResilienceHardwareConfig,
-        core: CoreConfig,
-    ) -> str:
-        return _key("stats", uid, compiler, hardware, core)
-
-    @staticmethod
-    def sweep_key(
         uid: str,
         digest: str,
         hardware: ResilienceHardwareConfig,
         core: CoreConfig,
     ) -> str:
-        """Content-addressed key of one sweep design point.
+        """Key of one design point's stats.
 
         Identified by the *structural program digest* rather than the
         compiler config, so two configs that compile to the same program
-        share one stats artifact across figures (``load_stats`` /
-        ``store_stats`` work with this key — a sweep point is stored as
-        an ordinary ``stats-<key>.json``).
+        share one stats artifact across figures and processes.
         """
-        return _key("sweep", uid, digest, hardware, core)
+        return _key("stats", uid, digest, hardware, core)
+
+    @staticmethod
+    def digest_key(uid: str, compiler: CompilerConfig) -> str:
+        """Key of the program digest one (uid, compiler config) compiles to."""
+        return _key("digest", uid, compiler)
 
     @staticmethod
     def golden_key(
@@ -230,6 +240,19 @@ class ArtifactCache:
     def store_stats(self, key: str, stats: SimStats) -> None:
         data = json.dumps(dataclasses.asdict(stats), sort_keys=True)
         self._write_atomic(self.root / f"stats-{key}.json", data.encode())
+
+    def load_digest(self, key: str) -> str | None:
+        """The stored 16-hex program digest, or None on any miss."""
+        try:
+            text = (self.root / f"digest-{key}.txt").read_text().strip()
+        except (OSError, UnicodeDecodeError):
+            return None
+        if len(text) != 16 or text.strip(_HEX):
+            return None
+        return text
+
+    def store_digest(self, key: str, digest: str) -> None:
+        self._write_atomic(self.root / f"digest-{key}.txt", digest.encode())
 
     def load_golden(self, key: str):
         """Load a pickled :class:`GoldenRecord`, or None on any miss.
@@ -356,6 +379,7 @@ class ArtifactCache:
             "artifacts": len(paths),
             "traces": count("trace-"),
             "stats": count("stats-"),
+            "digests": count("digest-"),
             "goldens": count("golden-"),
             "vulns": count("vuln-"),
             "bytes": total,

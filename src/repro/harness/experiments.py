@@ -73,13 +73,6 @@ def _sorted_uids(benchmarks: list[str] | None) -> list[str]:
     return sorted(benchmarks) if benchmarks else sorted(default_benchmarks())
 
 
-def _prepared(cache: RunCache, uid: str, config: CompilerConfig):
-    """Functional products, shared across digest-equal configs."""
-    return cache.prepared_by_digest(
-        uid, config, cache.program_digest(uid, config)
-    )
-
-
 def _evaluate(
     uids: list[str],
     pairs: list[SchemePair],
@@ -132,7 +125,7 @@ def fig04_checkpoint_ratio(
     for sb in sb_sizes:
         series = Series(name=f"{sb}-entry SB")
         for uid in uids:
-            summary = _prepared(cache, uid, turnstile_config(sb_size=sb)).summary
+            summary = cache.prepared(uid, turnstile_config(sb_size=sb)).summary
             series.per_benchmark[uid] = summary.checkpoints / summary.committed
         out[sb] = series
     return out
@@ -405,11 +398,11 @@ def fig23_store_breakdown(
 
     out: dict[str, dict[str, float]] = {}
     for uid in uids:
-        s0 = _prepared(cache, uid, base_cfg).summary
-        s1 = _prepared(cache, uid, pruning_cfg).summary
-        s2 = _prepared(cache, uid, licm_cfg).summary
-        s3 = _prepared(cache, uid, ra_cfg).summary
-        s4 = _prepared(cache, uid, full_cfg).summary
+        s0 = cache.prepared(uid, base_cfg).summary
+        s1 = cache.prepared(uid, pruning_cfg).summary
+        s2 = cache.prepared(uid, licm_cfg).summary
+        s3 = cache.prepared(uid, ra_cfg).summary
+        s4 = cache.prepared(uid, full_cfg).summary
         total = max(1, s0.all_stores)
         pruned = max(0, s0.checkpoints - s1.checkpoints)
         licm = max(0, s1.checkpoints - s2.checkpoints)
@@ -536,12 +529,9 @@ def fig26_region_codesize(
     out: dict[str, tuple[float, float]] = {}
     for uid in uids:
         stats = result[DesignPoint(uid, *pair)]
-        run = _prepared(cache, uid, compiler)
-        base = cache.baseline(uid)
-        growth = (
-            run.compiled.code_size_bytes - base.compiled.code_size_bytes
-        ) / base.compiled.code_size_bytes
-        out[uid] = (stats.dynamic_region_size, growth)
+        size = cache.compiled_program(uid, compiler).code_size_bytes
+        base = cache.compiled_program(uid, baseline_scheme()[0]).code_size_bytes
+        out[uid] = (stats.dynamic_region_size, (size - base) / base)
     return out
 
 

@@ -12,6 +12,14 @@ cooperating layers:
    across processes and sessions (keyed by a digest of the simulator
    source, so stale artefacts can never survive a code change).
 
+Functional work has one identity in both layers: the benchmark uid plus
+the structural :func:`~repro.isa.program.program_digest` of the compiled
+program. A compiler config is only ever a way to *find* that digest —
+in memory, then on disk, and by compiling only when both miss. Traces
+are memoised and persisted by (uid, digest) and stats by (uid, digest,
+hardware, core), so digest-equal configs share one functional execution
+and one timing result, in one process and across processes.
+
 Fanning design points out across cores is the sweep engine's job
 (:func:`repro.harness.sweep.run_sweep`). Per-process caches are
 **independent**: each worker process builds its own ``RunCache`` (a
@@ -38,6 +46,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import weakref
 from dataclasses import replace
 
 from repro.arch.config import CoreConfig, ResilienceHardwareConfig
@@ -66,45 +75,46 @@ def _baseline_config() -> CompilerConfig:
 
 
 class PreparedRun:
-    """Everything needed to simulate one (benchmark, compile-config) pair.
+    """The functional products of one (benchmark, compiled program) pair.
 
-    The trace is always materialised; the workload and compiled program
-    are rebuilt lazily, so a run served from the persistent trace cache
-    never pays compiler time unless a caller actually asks for
-    ``.compiled`` (e.g. the code-size study).
+    The trace is always materialised. ``config`` is the first compiler
+    config this process asked for with the run's program digest; the
+    trace and summary are valid for every digest-equal config.
+    ``.workload`` and ``.compiled`` come from the owning
+    :class:`RunCache`'s memos, so a run served from the persistent trace
+    cache never pays compiler time unless a caller asks for
+    ``.compiled`` (e.g. the code-size study), and then pays it at most
+    once per (uid, config). The owner is held by weak reference: the
+    cache holds its runs, and a strong reference back would leave every
+    trace to the cyclic garbage collector.
     """
 
-    __slots__ = ("uid", "config", "trace", "_workload", "_compiled", "_summary")
+    __slots__ = ("uid", "config", "trace", "_owner", "_summary")
 
     def __init__(
         self,
         uid: str,
         config: CompilerConfig,
         trace: list[tuple],
-        workload: Workload | None = None,
-        compiled: CompiledProgram | None = None,
+        owner: RunCache,
     ) -> None:
         self.uid = uid
         self.config = config
         self.trace = trace
-        self._workload = workload
-        self._compiled = compiled
+        self._owner = weakref.ref(owner)
         self._summary: TraceSummary | None = None
+
+    def _cache(self) -> RunCache:
+        # An owner already collected degrades to an unshared memo.
+        return self._owner() or RunCache(persistent=None)
 
     @property
     def workload(self) -> Workload:
-        if self._workload is None:
-            self._workload = build_workload(lookup_profile(self.uid))
-        return self._workload
+        return self._cache().workload(self.uid)
 
     @property
     def compiled(self) -> CompiledProgram:
-        if self._compiled is None:
-            if self.config.name == "baseline":
-                self._compiled = compile_baseline(self.workload.program)
-            else:
-                self._compiled = compile_program(self.workload.program, self.config)
-        return self._compiled
+        return self._cache().compiled_program(self.uid, self.config)
 
     @property
     def summary(self) -> TraceSummary:
@@ -113,14 +123,21 @@ class PreparedRun:
         return self._summary
 
 
+#: In-process stats identity: (uid, program digest, hardware, core).
+StatsKey = tuple[str, str, ResilienceHardwareConfig, CoreConfig]
+
+
 class RunCache:
     """Process-wide memoisation of workloads, compiles, traces, stats.
 
-    Thread-safe: all dictionary access is serialised through one
-    re-entrant lock, so ``prepared()`` from several threads and a
-    concurrent ``clear()`` cannot corrupt state (a cleared cache simply
-    recomputes). Instances in different processes are independent by
-    design — cross-process reuse goes through ``persistent``.
+    Compiles and program digests are memoised by (uid, config), traces
+    by (uid, digest) and stats by (uid, digest, hardware, core); see the
+    module docstring. Thread-safe: all dictionary access is serialised
+    through one re-entrant lock, so ``prepared()`` from several threads
+    and a concurrent ``clear()`` cannot corrupt state (a cleared cache
+    simply recomputes). Instances in different processes are
+    independent by design — cross-process reuse goes through
+    ``persistent``.
     """
 
     def __init__(
@@ -133,20 +150,10 @@ class RunCache:
         self._workloads: dict[str, Workload] = {}
         # Keyed by the full (frozen) compiler config: two configs that
         # merely share a display name must not collide.
-        self._prepared: dict[tuple[str, CompilerConfig], PreparedRun] = {}
-        self._stats: dict[
-            tuple[str, CompilerConfig, ResilienceHardwareConfig, CoreConfig],
-            SimStats,
-        ] = {}
-        # Compile-only products (no functional run): the sweep planner
-        # compiles every lattice config to group design points by
-        # structural program digest before paying for any trace.
         self._compiled: dict[tuple[str, CompilerConfig], CompiledProgram] = {}
         self._digests: dict[tuple[str, CompilerConfig], str] = {}
-        # Trace sharing across digest-equal compiler configs: configs
-        # that compile to an identical program produce an identical
-        # committed stream, so one functional run serves them all.
-        self._digest_runs: dict[tuple[str, str], PreparedRun] = {}
+        self._prepared: dict[tuple[str, str], PreparedRun] = {}
+        self._stats: dict[StatsKey, SimStats] = {}
 
     def workload(self, uid: str) -> Workload:
         with self._lock:
@@ -155,39 +162,6 @@ class RunCache:
                 wl = build_workload(lookup_profile(uid))
                 self._workloads[uid] = wl
             return wl
-
-    def prepared(self, uid: str, config: CompilerConfig) -> PreparedRun:
-        key = (uid, config)
-        with self._lock:
-            run = self._prepared.get(key)
-            if run is not None:
-                return run
-            if self.persistent is not None:
-                trace = self.persistent.load_trace(
-                    self.persistent.trace_key(uid, config)
-                )
-                if trace is not None:
-                    run = PreparedRun(uid, config, trace)
-                    self._prepared[key] = run
-                    return run
-            workload = self.workload(uid)
-            compiled = self.compiled_program(uid, config)
-            result = execute_fast(
-                compiled.program, workload.fresh_memory(), collect_trace=True
-            )
-            assert result.trace is not None
-            run = PreparedRun(
-                uid, config, result.trace, workload=workload, compiled=compiled
-            )
-            if self.persistent is not None:
-                self.persistent.store_trace(
-                    self.persistent.trace_key(uid, config), result.trace
-                )
-            self._prepared[key] = run
-            return run
-
-    def baseline(self, uid: str, core: CoreConfig | None = None) -> PreparedRun:
-        return self.prepared(uid, _baseline_config())
 
     def compiled_program(
         self, uid: str, config: CompilerConfig
@@ -208,39 +182,64 @@ class RunCache:
     def program_digest(self, uid: str, config: CompilerConfig) -> str:
         """Structural digest of the compiled program (uid-free).
 
-        Two configs with the same digest compile to the same program and
-        therefore produce the same committed stream — the sweep planner
-        uses this to share one functional execution across them.
+        Looked up in memory, then on disk; compiled (and stored) only
+        when both miss. Two configs with the same digest compile to the
+        same program and therefore produce the same committed stream, so
+        the digest is what traces and stats are keyed by.
         """
         key = (uid, config)
         with self._lock:
             digest = self._digests.get(key)
+            if digest is not None:
+                return digest
+            disk_key = None
+            if self.persistent is not None:
+                disk_key = self.persistent.digest_key(uid, config)
+                digest = self.persistent.load_digest(disk_key)
             if digest is None:
                 digest = program_digest(self.compiled_program(uid, config).program)
-                self._digests[key] = digest
+                if disk_key is not None:
+                    self.persistent.store_digest(disk_key, digest)
+            self._digests[key] = digest
             return digest
+
+    def prepared(self, uid: str, config: CompilerConfig) -> PreparedRun:
+        """The functional run of ``config``'s program, shared by every
+        digest-equal config."""
+        with self._lock:
+            digest = self.program_digest(uid, config)
+            run = self._prepared.get((uid, digest))
+            if run is not None:
+                return run
+            disk_key = None
+            trace = None
+            if self.persistent is not None:
+                disk_key = self.persistent.trace_key(uid, digest)
+                trace = self.persistent.load_trace(disk_key)
+            if trace is None:
+                result = execute_fast(
+                    self.compiled_program(uid, config).program,
+                    self.workload(uid).fresh_memory(),
+                    collect_trace=True,
+                )
+                assert result.trace is not None
+                trace = result.trace
+                if disk_key is not None:
+                    self.persistent.store_trace(disk_key, trace)
+            run = self._prepared[(uid, digest)] = PreparedRun(uid, config, trace, self)
+            return run
 
     def prepared_by_digest(
         self, uid: str, config: CompilerConfig, digest: str
     ) -> PreparedRun:
-        """Like :meth:`prepared`, memoised by program digest.
+        """Alias of :meth:`prepared` (``digest`` is unused), kept for
+        existing callers."""
+        return self.prepared(uid, config)
 
-        The returned run belongs to the first config seen with this
-        digest; its trace (and summary) are valid for every digest-equal
-        config.
-        """
-        key = (uid, digest)
-        with self._lock:
-            run = self._digest_runs.get(key)
-            if run is None:
-                run = self.prepared(uid, config)
-                self._digest_runs[key] = run
-            return run
+    def baseline(self, uid: str, core: CoreConfig | None = None) -> PreparedRun:
+        return self.prepared(uid, _baseline_config())
 
-    def _memo_stats(
-        self,
-        key: tuple[str, CompilerConfig, ResilienceHardwareConfig, CoreConfig],
-    ) -> SimStats | None:
+    def _memo_stats(self, key: StatsKey) -> SimStats | None:
         """In-memory, then on-disk stats for ``key`` (caller holds the lock)."""
         stats = self._stats.get(key)
         if stats is None and self.persistent is not None:
@@ -249,6 +248,14 @@ class RunCache:
                 self._stats[key] = stats
         return stats
 
+    def put_stats(self, key: StatsKey, stats: SimStats) -> None:
+        """Insert computed stats (a solo run or the sweep engine's lanes)
+        into both memoisation layers, so later lookups hit."""
+        with self._lock:
+            self._stats[key] = stats
+            if self.persistent is not None:
+                self.persistent.store_stats(self.persistent.stats_key(*key), stats)
+
     def peek_stats(
         self,
         uid: str,
@@ -256,26 +263,15 @@ class RunCache:
         hardware: ResilienceHardwareConfig,
         core: CoreConfig | None = None,
     ) -> SimStats | None:
-        """Memoised/persisted stats if present — never computes."""
-        with self._lock:
-            stats = self._memo_stats((uid, compiler, hardware, core or CoreConfig()))
-            return None if stats is None else replace(stats, cache=dict(stats.cache))
+        """Memoised/persisted stats if present.
 
-    def put_stats(
-        self,
-        uid: str,
-        compiler: CompilerConfig,
-        hardware: ResilienceHardwareConfig,
-        core: CoreConfig | None,
-        stats: SimStats,
-    ) -> None:
-        """Insert externally-computed stats (the sweep engine's lanes)
-        into both memoisation layers, so later solo lookups hit."""
-        key = (uid, compiler, hardware, core or CoreConfig())
+        May compile to learn the program digest; never executes or
+        times anything.
+        """
         with self._lock:
-            self._stats[key] = stats
-            if self.persistent is not None:
-                self.persistent.store_stats(self.persistent.stats_key(*key), stats)
+            digest = self.program_digest(uid, compiler)
+            stats = self._memo_stats((uid, digest, hardware, core or CoreConfig()))
+            return None if stats is None else replace(stats, cache=dict(stats.cache))
 
     def stats(
         self,
@@ -287,11 +283,12 @@ class RunCache:
         """Timing stats for one combination, memoised at every layer."""
         core = core or CoreConfig()
         with self._lock:
-            stats = self._memo_stats((uid, compiler, hardware, core))
+            key = (uid, self.program_digest(uid, compiler), hardware, core)
+            stats = self._memo_stats(key)
             if stats is None:
                 trace = self.prepared(uid, compiler).trace
                 stats = run_lanes(trace, [(core, hardware)])[0]
-                self.put_stats(uid, compiler, hardware, core, stats)
+                self.put_stats(key, stats)
             # Defensive copy: cached stats must survive caller mutation.
             return replace(stats, cache=dict(stats.cache))
 
@@ -306,11 +303,10 @@ class RunCache:
         """
         with self._lock:
             self._workloads.clear()
-            self._prepared.clear()
-            self._stats.clear()
             self._compiled.clear()
             self._digests.clear()
-            self._digest_runs.clear()
+            self._prepared.clear()
+            self._stats.clear()
 
 
 GLOBAL_CACHE = RunCache()

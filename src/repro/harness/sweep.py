@@ -13,8 +13,11 @@ The engine exploits both:
    identified by the *structural digest* of its compiled program, not
    the config that produced it, so identical points — across figures,
    or from configs that differ only in non-binding options — dedup to
-   one evaluation, and per-point stats persist in the artifact cache
-   under the same identity.
+   one evaluation. The key is the artifact cache's
+   :meth:`~repro.harness.artifacts.ArtifactCache.stats_key`, the one
+   identity under which :class:`~repro.harness.runner.RunCache`
+   memoises and persists the point's stats, so the planner and the
+   solo accessors find the same result.
 2. **Lane batching** (:func:`plan_sweep`): points sharing one compiled
    program form a batch; :func:`repro.runtime.multisim.run_lanes`
    executes the batch with one shared decode pass (fetch/decode/
@@ -25,10 +28,11 @@ The engine exploits both:
    ``REPRO_WORKERS``) lane batches fan out across a process pool. This
    is the harness's one fan-out for timing points.
 
-Results are inserted back into the :class:`~repro.harness.runner.
-RunCache` stats layers under each point's own config key, so the solo
-accessors (``simulate``, ``normalized_time``, ``baseline_cycles``) hit
-the engine's results without recomputing.
+Each computed point is inserted once into the
+:class:`~repro.harness.runner.RunCache` stats layers (one in-memory
+entry, one disk write per content key), so the solo accessors
+(``simulate``, ``normalized_time``, ``baseline_cycles``) hit the
+engine's results without recomputing.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ def point_key(point: DesignPoint, digest: str) -> str:
     Built from the structural program digest (not the compiler config),
     so digest-equal configs collapse to the same key.
     """
-    return ArtifactCache.sweep_key(
+    return ArtifactCache.stats_key(
         point.uid, digest, point.hardware, point.core
     )
 
@@ -103,8 +107,8 @@ class LaneBatch:
     compiler: CompilerConfig  # representative (first seen) config
     digest: str
     lanes: list[tuple[CoreConfig, ResilienceHardwareConfig]]
-    # Per lane, every (point, its content key) mapped onto it.
-    members: list[list[tuple[DesignPoint, str]]]
+    # The content key of each lane: a lane is one distinct key.
+    keys: list[str]
 
 
 @dataclass
@@ -130,61 +134,38 @@ def plan_sweep(
 
     Points whose stats are already available in the cache layers (from
     an earlier figure in this process, or the persistent artifact
-    cache) are resolved immediately and excluded from the batches.
+    cache, under any digest-equal config) are resolved immediately and
+    excluded from the batches.
     """
-    persistent = cache.persistent
     batches: dict[tuple[str, str], LaneBatch] = {}
     resolved: dict[str, SimStats] = {}
     keys: dict[DesignPoint, str] = {}
+    planned: set[str] = set()
     for point in points:
         if point in keys:
             continue
-        # Cheapest first: stats memoised under the point's own config
-        # key resolve without compiling anything.
+        digest = cache.program_digest(point.uid, point.compiler)
+        key = keys[point] = point_key(point, digest)
+        if key in resolved or key in planned:
+            continue
         stats = cache.peek_stats(
             point.uid, point.compiler, point.hardware, point.core
         )
         if stats is not None:
-            key = ArtifactCache.stats_key(
-                point.uid, point.compiler, point.hardware, point.core
-            )
-            keys[point] = key
-            resolved.setdefault(key, stats)
+            resolved[key] = stats
             continue
-        digest = cache.program_digest(point.uid, point.compiler)
-        key = point_key(point, digest)
-        keys[point] = key
-        if key in resolved:
-            continue
-        if persistent is not None:
-            # Digest-level artifact: another config compiling to the
-            # same program may have paid for this point already.
-            stats = persistent.load_stats(key)
-            if stats is not None:
-                resolved[key] = stats
-                # Warm the config-keyed layers so solo accessors hit.
-                cache.put_stats(
-                    point.uid, point.compiler, point.hardware, point.core,
-                    stats,
-                )
-                continue
-        bkey = (point.uid, digest)
-        batch = batches.get(bkey)
+        planned.add(key)
+        batch = batches.get((point.uid, digest))
         if batch is None:
-            batch = batches[bkey] = LaneBatch(
+            batch = batches[(point.uid, digest)] = LaneBatch(
                 uid=point.uid,
                 compiler=point.compiler,
                 digest=digest,
                 lanes=[],
-                members=[],
+                keys=[],
             )
-        for i, lane in enumerate(batch.lanes):
-            if lane == (point.core, point.hardware):
-                batch.members[i].append((point, key))
-                break
-        else:
-            batch.lanes.append((point.core, point.hardware))
-            batch.members.append([(point, key)])
+        batch.lanes.append((point.core, point.hardware))
+        batch.keys.append(key)
     return SweepPlan(batches=list(batches.values()), resolved=resolved,
                      keys=keys)
 
@@ -207,19 +188,12 @@ def _commit(
     lane_stats: Sequence[SimStats],
     out: dict[str, SimStats],
 ) -> None:
-    """Record one evaluated batch in every cache layer."""
-    persistent = cache.persistent
-    for members, stats in zip(batch.members, lane_stats, strict=True):
-        for point, key in members:
-            if key not in out:
-                out[key] = stats
-                if persistent is not None:
-                    persistent.store_stats(key, stats)
-            # Insert under the point's own config identity too, so the
-            # solo accessors (simulate / normalized_time) hit.
-            cache.put_stats(
-                point.uid, point.compiler, point.hardware, point.core, stats
-            )
+    """Record one evaluated batch: one stats entry per content key."""
+    for (core, hardware), key, stats in zip(
+        batch.lanes, batch.keys, lane_stats, strict=True
+    ):
+        out[key] = stats
+        cache.put_stats((batch.uid, batch.digest, hardware, core), stats)
 
 
 def run_sweep(
@@ -237,7 +211,7 @@ def run_sweep(
     plan = plan_sweep(points, cache)
     computed: dict[str, SimStats] = dict(plan.resolved)
     workers = resolve_workers(workers)
-    pending = [b for b in plan.batches if b.lanes]
+    pending = plan.batches
     if workers > 1 and len(pending) > 1:
         import multiprocessing as mp
 
@@ -250,10 +224,8 @@ def run_sweep(
             _commit(cache, batch, lane_stats, computed)
     else:
         for batch in pending:
-            run = cache.prepared_by_digest(
-                batch.uid, batch.compiler, batch.digest
-            )
-            _commit(cache, batch, run_lanes(run.trace, batch.lanes), computed)
+            trace = cache.prepared(batch.uid, batch.compiler).trace
+            _commit(cache, batch, run_lanes(trace, batch.lanes), computed)
     return {
         point: replace(computed[key], cache=dict(computed[key].cache))
         for point, key in plan.keys.items()

@@ -704,7 +704,11 @@ class ResilientMachine:
 
         Delta snapshots need ``cells``: the fully materialised cell dict
         at the snapshot point (base memory plus every delta up to and
-        including this snapshot's).
+        including this snapshot's). The machine takes ownership of that
+        dict and mutates it as it runs, so the caller must pass a dict
+        it no longer uses (``GoldenRecord.cells_at`` builds a fresh one
+        per call). A full snapshot's own image is copied: the snapshot
+        keeps it.
         """
         if snap.mem_full:
             self.mem.cells = dict(snap.mem_delta)
@@ -713,7 +717,7 @@ class ResilientMachine:
                 raise SnapshotError(
                     "delta snapshot needs the materialised cell dict"
                 )
-            self.mem.cells = dict(cells)
+            self.mem.cells = cells
         self._mem_fp = snap.mem_fp
         self.regs.load_index_dict(snap.regs)
         self.sb.restore_state(snap.sb)

@@ -2,10 +2,13 @@
 
 Covers the tentpole's storage/concurrency contract:
 
-* ArtifactCache round-trips traces and stats, tolerates corrupt files,
-  and honours the ``REPRO_CACHE_DIR`` disable switch;
+* ArtifactCache round-trips traces, stats and program digests,
+  tolerates corrupt files, and honours the ``REPRO_CACHE_DIR`` disable
+  switch;
 * a warm persistent cache serves RunCache without recompiling or
-  re-simulating anything (monkeypatched builders raise if touched);
+  re-simulating anything (the monkeypatched build, compile and run
+  functions raise if touched), also for a config only digest-equal to
+  the one that filled it;
 * ``prepared()`` under thread contention with interleaved ``clear()``
   never corrupts state, and ``clear()`` leaves the disk layer intact;
 * ``repro cache warm`` fills the disk layer for every scheme point;
@@ -24,6 +27,7 @@ import pytest
 from repro.arch.clq import CLQStats
 from repro.arch.config import CoreConfig, ResilienceHardwareConfig
 from repro.arch.stats import SimStats, merge_stats
+from repro.compiler.config import turnpike_config
 from repro.harness import artifacts
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.runner import (
@@ -45,7 +49,7 @@ def disk_cache(tmp_path):
 class TestArtifactCache:
     def test_trace_roundtrip(self, disk_cache):
         trace = [(0, 1, 2, 3, -1, -1, 0), (4, -1, 5, -1, 4096, 2, 1)]
-        key = disk_cache.trace_key(UID, _baseline_config())
+        key = disk_cache.trace_key(UID, "0123456789abcdef")
         assert disk_cache.load_trace(key) is None
         disk_cache.store_trace(key, trace)
         assert disk_cache.load_trace(key) == trace
@@ -55,17 +59,23 @@ class TestArtifactCache:
             cycles=123.0, instructions=45, cache={"hits": 7, "misses": 2}
         )
         key = disk_cache.stats_key(
-            UID, _baseline_config(), ResilienceHardwareConfig.baseline(),
+            UID, "0123456789abcdef", ResilienceHardwareConfig.baseline(),
             CoreConfig(),
         )
         assert disk_cache.load_stats(key) is None
         disk_cache.store_stats(key, stats)
         assert disk_cache.load_stats(key) == stats
 
+    def test_digest_roundtrip(self, disk_cache):
+        key = disk_cache.digest_key(UID, _baseline_config())
+        assert disk_cache.load_digest(key) is None
+        disk_cache.store_digest(key, "0123456789abcdef")
+        assert disk_cache.load_digest(key) == "0123456789abcdef"
+
     def test_corrupt_artifact_is_a_miss(self, disk_cache):
-        trace_key = disk_cache.trace_key(UID, _baseline_config())
+        trace_key = disk_cache.trace_key(UID, "0123456789abcdef")
         stats_key = disk_cache.stats_key(
-            UID, _baseline_config(), ResilienceHardwareConfig.baseline(),
+            UID, "0123456789abcdef", ResilienceHardwareConfig.baseline(),
             CoreConfig(),
         )
         (disk_cache.root / f"trace-{trace_key}.pkl").write_bytes(b"garbage")
@@ -73,40 +83,71 @@ class TestArtifactCache:
         assert disk_cache.load_trace(trace_key) is None
         assert disk_cache.load_stats(stats_key) is None
 
+    @pytest.mark.parametrize("data", [
+        b"", b"0123456789abcde", b"0123456789abcdef0", b"0123456789abcdeg",
+        b"0123456789ABCDEF", b"01234567\n89abcdef", b"\xff" * 16,
+    ], ids=["empty", "short", "long", "non-hex", "upper", "split", "binary"])
+    def test_corrupt_digest_is_a_miss(self, disk_cache, data):
+        key = disk_cache.digest_key(UID, _baseline_config())
+        (disk_cache.root / f"digest-{key}.txt").write_bytes(data)
+        assert disk_cache.load_digest(key) is None
+
+    def test_corrupt_digest_recompiles(self, disk_cache):
+        """A RunCache over a corrupt digest file compiles, gets the right
+        digest and rewrites the file."""
+        config = _baseline_config()
+        want = RunCache(persistent=None).program_digest(UID, config)
+        key = disk_cache.digest_key(UID, config)
+        (disk_cache.root / f"digest-{key}.txt").write_text("0" * 15)
+        assert RunCache(persistent=disk_cache).program_digest(UID, config) == want
+        assert disk_cache.load_digest(key) == want
+
     def test_keys_depend_on_configs(self):
         base = _baseline_config()
         tp_c, tp_h = turnpike_scheme()
-        assert ArtifactCache.trace_key(UID, base) != ArtifactCache.trace_key(
-            UID, tp_c
+        a, b = "0123456789abcdef", "fedcba9876543210"
+        assert ArtifactCache.trace_key(UID, a) != ArtifactCache.trace_key(UID, b)
+        assert ArtifactCache.trace_key(UID, a) != ArtifactCache.trace_key(
+            "CPU2006.gcc", a
         )
         assert ArtifactCache.stats_key(
-            UID, tp_c, tp_h, CoreConfig()
+            UID, a, tp_h, CoreConfig()
         ) != ArtifactCache.stats_key(
-            UID, tp_c, ResilienceHardwareConfig.baseline(), CoreConfig()
+            UID, a, ResilienceHardwareConfig.baseline(), CoreConfig()
         )
+        assert ArtifactCache.stats_key(
+            UID, a, tp_h, CoreConfig()
+        ) != ArtifactCache.stats_key(UID, b, tp_h, CoreConfig())
+        assert ArtifactCache.digest_key(UID, base) != ArtifactCache.digest_key(
+            UID, tp_c
+        )
+        # One key space per kind: equal parts never collide across kinds.
+        assert ArtifactCache.trace_key(UID, a) != ArtifactCache.digest_key(UID, a)
 
     def test_clear_and_info(self, disk_cache, monkeypatch, capsys):
         disk_cache.store_trace("t" * 40, [(0, -1, -1, -1, -1, -1, 0)])
         disk_cache.store_stats("s" * 40, SimStats(cycles=1.0))
+        disk_cache.store_digest("d" * 40, "0123456789abcdef")
         disk_cache.store_vuln("v" * 40, {"cells": []})
         # A stray file and a retired backend's module are not artifacts.
         (disk_cache.root / "notes.txt").write_text("stray")
         (disk_cache.root / f"codegen-{'c' * 40}.py").write_text("# old")
         info = disk_cache.info()
-        assert info["artifacts"] == 3
-        assert (info["traces"], info["stats"], info["goldens"],
-                info["vulns"]) == (1, 1, 0, 1)
+        assert info["artifacts"] == 4
+        assert (info["traces"], info["stats"], info["digests"],
+                info["goldens"], info["vulns"]) == (1, 1, 1, 0, 1)
         assert "codegens" not in info
         assert [kind for kind, _, _ in disk_cache.entries()] == [
-            "stats", "trace", "vuln",
+            "digest", "stats", "trace", "vuln",
         ]
         from repro.__main__ import main as cli_main
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(disk_cache.root))
         assert cli_main(["cache", "info"]) == 0
-        assert "(1 traces, 1 stats, 0 goldens, 1 vulns)" in capsys.readouterr().out
+        assert ("(1 traces, 1 stats, 1 digests, 0 goldens, 1 vulns)"
+                in capsys.readouterr().out)
         # clear() (hence prune) still reclaims the legacy module.
-        assert disk_cache.clear() == 4
+        assert disk_cache.clear() == 5
         assert disk_cache.artifact_paths() == []
         assert sorted(p.name for p in disk_cache.root.iterdir()) == ["notes.txt"]
 
@@ -261,6 +302,73 @@ class TestRunCachePersistence:
         run = warm.prepared(UID, config)
         assert run.trace  # served from disk
         assert run.summary.total == len(run.trace)
+
+    def test_digest_equal_config_served_from_disk(self, disk_cache, monkeypatch):
+        """One content address across processes: a config first seen by
+        a later process is served the trace and stats an earlier process
+        computed under a digest-equal config, with nothing rebuilt."""
+        hardware = ResilienceHardwareConfig.turnpike(wcdl=10)
+        first = turnpike_config()
+        renamed = turnpike_config().with_name("renamed")
+        cold = RunCache(persistent=disk_cache)
+        want = cold.stats(UID, first, hardware)
+        trace = cold.prepared(UID, first).trace
+        # The planner learns every config's digest; only one executes.
+        assert cold.program_digest(UID, renamed) == cold.program_digest(UID, first)
+
+        import repro.harness.runner as runner_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("recompute attempted on a warm cache")
+
+        for name in ("build_workload", "compile_baseline", "compile_program",
+                     "execute_fast", "run_lanes"):
+            monkeypatch.setattr(runner_mod, name, boom)
+        warm = RunCache(persistent=disk_cache)
+        assert warm.prepared(UID, renamed).trace == trace
+        assert warm.stats(UID, renamed, hardware) == want
+        assert warm.peek_stats(UID, renamed, hardware) == want
+
+    def test_disk_served_run_compiles_once(self, disk_cache, monkeypatch):
+        """``.compiled`` and ``.workload`` of a run served from disk come
+        from the RunCache memos: one compile per (uid, config)."""
+        config = turnpike_config()
+        RunCache(persistent=disk_cache).prepared(UID, config)
+
+        import repro.harness.runner as runner_mod
+
+        compiles = []
+        real = runner_mod.compile_program
+
+        def counting(program, cfg, **kwargs):
+            compiles.append(cfg)
+            return real(program, cfg, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "compile_program", counting)
+        warm = RunCache(persistent=disk_cache)
+        run = warm.prepared(UID, config)
+        assert compiles == []  # digest and trace both from disk
+        assert run.compiled is run.compiled
+        assert run.compiled is warm.compiled_program(UID, config)
+        assert run.workload is warm.workload(UID)
+        assert compiles == [config]
+
+    def test_prepared_run_does_not_keep_its_cache_alive(self):
+        """No reference cycle between a RunCache and its runs: dropping
+        the cache frees it (and its traces) without the cyclic GC."""
+        import gc
+        import weakref
+
+        cache = RunCache(persistent=None)
+        run = cache.prepared(UID, _baseline_config())
+        ref = weakref.ref(cache)
+        gc.disable()
+        try:
+            del cache
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert run.compiled.program is not None  # degrades, still works
 
     def test_clear_keeps_disk_layer(self, disk_cache):
         config = _baseline_config()

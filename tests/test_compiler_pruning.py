@@ -156,16 +156,23 @@ class TestPruning:
         prog.validate()
 
     def test_examined_counts_eager_pairs(self):
+        """Every eager (def, checkpoint) pair is examined exactly once,
+        prunable or not: two constants are pruned, the loaded value
+        (its cell is stored to later) keeps its checkpoint."""
         b = ProgramBuilder("e")
         b.begin_block("entry")
         base = b.li(0x100)
         k = b.li(5)
+        x = b.load(base, offset=8)
         b.store(k, base, offset=16)
+        b.store(x, base, offset=8)
         b.store(k, base)
         b.ret()
         prog = _prep(b.finish())
+        pairs = count_checkpoints(prog)
         stats = prune_checkpoints(prog)
-        assert stats.examined >= stats.pruned >= 1
+        assert (pairs, stats.examined, stats.pruned) == (3, 3, 2)
+        assert count_checkpoints(prog) == pairs - stats.pruned
 
     def test_pruned_run_still_functionally_equivalent(self):
         from repro.runtime.interpreter import execute

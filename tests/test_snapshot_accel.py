@@ -168,7 +168,10 @@ class TestSnapshotRestore:
             }
             prev = cells
             machine = ResilientMachine(compiled, config, memory.copy())
-            machine.restore(snap, cells=rec.cells_at(index, memory.cells))
+            restored = rec.cells_at(index, memory.cells)
+            machine.restore(snap, cells=restored)
+            # restore() takes ownership of a delta snapshot's image.
+            assert (machine.mem.cells is restored) != snap.mem_full
             assert full_state_canonical(machine, snap.t) == ref_canon[snap.t]
             assert machine._mem_fp == memory_fingerprint(machine.mem.cells)
             stats = machine.run()
